@@ -16,12 +16,14 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"envy"
 	"envy/internal/cleaner"
 	"envy/internal/experiments"
 	"envy/internal/flash"
 	"envy/internal/sim"
+	"envy/internal/tpca"
 )
 
 // reportAll emits one experiment's metric map — the same maps
@@ -406,4 +408,111 @@ func BenchmarkTransactions(b *testing.B) {
 			dev.Idle(1e6)
 		}
 	}
+}
+
+// The three benchmarks below are the host-cost micro view of the
+// repository benchmark's workloads (bench/): wall time and allocations
+// per simulated operation, not a paper figure.
+
+// agedDevice builds a device with every logical page preloaded and
+// aged by untimed random rewrites, so cleaning is active from the first
+// measured write. It returns the device and its logical page count.
+func agedDevice(b *testing.B, cfg envy.Config) (*envy.Device, int) {
+	b.Helper()
+	dev, err := envy.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := dev.Preload(make([]byte, dev.Size()), 0); err != nil {
+		b.Fatal(err)
+	}
+	dev.Core().Churn(30_000, 1)
+	return dev, int(dev.Size()) / cfg.PageSize
+}
+
+// BenchmarkPageWrite256 is flood_hotcold's op: a closed loop of
+// 256-byte page writes with 10/90 locality on an aged device — the
+// span kernel's closed-form run plus the flush, cleaning and wear
+// control plane behind it.
+func BenchmarkPageWrite256(b *testing.B) {
+	cfg := envy.SmallConfig()
+	dev, pages := agedDevice(b, cfg)
+	defer dev.Close()
+	rng := sim.NewRNG(1)
+	dist := sim.Bimodal{HotData: 0.1, HotAccess: 0.9}
+	page := make([]byte, cfg.PageSize)
+	write := func() { dev.Write(page, uint64(dist.Draw(rng, pages))*uint64(cfg.PageSize)) }
+	for i := 0; i < 4*cfg.BufferPages; i++ {
+		write() // fill the buffer: measure with flushing engaged
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write()
+	}
+}
+
+// BenchmarkTPCATransaction is tpca_sat's op: TPC-A transactions back
+// to back on the small-scale system — three B-tree descents of 2-word
+// reads, three record updates.
+func BenchmarkTPCATransaction(b *testing.B) {
+	dev, err := envy.New(envy.Config{
+		PageSize: 256, PagesPerSegment: 128, Segments: 128, Banks: 8,
+		Policy: envy.HybridPolicy, PartitionSegments: 16, WearThreshold: 100,
+		BufferPages: 2048,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dev.Close()
+	bank, err := tpca.Setup(dev.Core(), tpca.Config{Branches: 2, AccountsPerTeller: 500, InitialBalance: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev.Core().Churn(40_000, 1)
+	rng := sim.NewRNG(1)
+	txn := func() {
+		if err := bank.Transaction(rng.Intn(bank.Accounts())+1, int64(rng.Intn(1999))-999); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		txn()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txn()
+	}
+}
+
+// BenchmarkFlushPlacementPar8 isolates the §6 placement control plane
+// the cluster members run: 8-byte writes at host depth 8 with
+// ParallelFlush 8 and the buffer held above its high-water mark, so
+// every few writes expand a flush through pickFlushFrame, bankOccupied
+// and the wear check.
+func BenchmarkFlushPlacementPar8(b *testing.B) {
+	cfg := envy.SmallConfig()
+	cfg.ParallelFlush, cfg.HostQueueDepth = 8, 8
+	dev, pages := agedDevice(b, cfg)
+	defer dev.Close()
+	rng := sim.NewRNG(1)
+	word := make([]byte, 8)
+	write := func(i int) {
+		dev.Write(word, uint64(rng.Intn(pages))*uint64(cfg.PageSize))
+		if i%8 == 7 {
+			dev.Idle(20 * time.Microsecond)
+		}
+	}
+	for i := 0; i < 4*cfg.BufferPages; i++ {
+		write(i)
+	}
+	dev.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(dev.Stats().Flushes)/float64(b.N), "flushes/op")
 }

@@ -33,6 +33,7 @@ import (
 	"envy/internal/invariant"
 	"envy/internal/lifetime"
 	"envy/internal/maptier"
+	"envy/internal/profiling"
 	"envy/internal/sim"
 	"envy/internal/stats"
 	"envy/internal/tpca"
@@ -66,8 +67,20 @@ func main() {
 		mix       = flag.String("mix", "a", "cluster mode: YCSB mix class a (50/50), b (95/5), or c (read-only)")
 		theta     = flag.Float64("theta", 0.9, "cluster mode: Zipfian skew of the page popularity distribution")
 		crash     = flag.Int("crash", -1, "cluster mode: crash this member mid-load and recover it (-1 = no crash)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
+
+	stopProfiles, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			log.Print(err)
+		}
+	}()
 
 	if *clusterN > 0 {
 		runCluster(*clusterN, *mix, *theta, *crash, *rate, *seconds, *warm, *seed, *check)

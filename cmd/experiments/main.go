@@ -29,12 +29,26 @@ import (
 	"time"
 
 	"envy/internal/experiments"
+	"envy/internal/profiling"
 )
 
 func main() {
 	scaleFlag := flag.String("scale", "small", "experiment scale: small or paper")
 	jsonFlag := flag.Bool("json", false, "also write BENCH_results.json with machine-readable results")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
+
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}()
 
 	var sc experiments.Scale
 	switch *scaleFlag {

@@ -509,7 +509,10 @@ type Request struct {
 	Err        error
 	AtSubmit   PageState
 
-	inner *host.Request
+	// inner is the host-level request, held by value and completed
+	// through complete via its Owner back-pointer; done doubles as the
+	// submitted marker (non-nil from a successful prepare on).
+	inner host.Request
 	done  chan struct{}
 }
 
@@ -539,7 +542,7 @@ func (dev *Device) Submit(r *Request) error {
 	}
 	dev.mu.Lock()
 	defer dev.mu.Unlock()
-	dev.eng.Submit(r.inner)
+	dev.eng.Submit(&r.inner)
 	return nil
 }
 
@@ -553,7 +556,6 @@ func (dev *Device) SubmitAll(rs ...*Request) error {
 	for i, r := range rs {
 		if err := dev.prepare(r); err != nil {
 			for _, p := range rs[:i] {
-				p.inner = nil
 				p.done = nil
 			}
 			return err
@@ -561,7 +563,7 @@ func (dev *Device) SubmitAll(rs ...*Request) error {
 	}
 	inners := make([]*host.Request, len(rs))
 	for i, r := range rs {
-		inners[i] = r.inner
+		inners[i] = &r.inner
 	}
 	dev.mu.Lock()
 	defer dev.mu.Unlock()
@@ -574,7 +576,7 @@ func (dev *Device) SubmitAll(rs ...*Request) error {
 // geometry, and the diagnostic lookup takes one page-table shard's
 // read lock.
 func (dev *Device) prepare(r *Request) error {
-	if r.inner != nil {
+	if r.done != nil {
 		return fmt.Errorf("envy: Request resubmitted; requests are single-use")
 	}
 	if err := dev.d.CheckRange(r.Addr, len(r.Data)); err != nil {
@@ -589,33 +591,36 @@ func (dev *Device) prepare(r *Request) error {
 	default:
 		r.AtSubmit = PageFlash
 	}
-	done := make(chan struct{})
-	inner := &host.Request{Write: r.Write, Addr: r.Addr, Data: r.Data}
-	inner.OnComplete = func(h *host.Request) {
-		r.Arrival = time.Duration(h.Arrival)
-		r.Start = time.Duration(h.Start)
-		r.Completion = time.Duration(h.Completion)
-		r.Latency = time.Duration(h.Latency())
-		r.Err = h.Err
-		if r.OnComplete != nil {
-			r.OnComplete(r)
-		}
-		close(done)
-	}
-	r.inner = inner
-	r.done = done
+	r.inner = host.Request{Write: r.Write, Addr: r.Addr, Data: r.Data, OnComplete: complete, Owner: r}
+	r.done = make(chan struct{})
 	return nil
+}
+
+// complete is every Request's host-level completion callback: it
+// copies the outcome into the public fields, runs the caller's
+// OnComplete and closes Done.
+func complete(h *host.Request) {
+	r := h.Owner.(*Request)
+	r.Arrival = time.Duration(h.Arrival)
+	r.Start = time.Duration(h.Start)
+	r.Completion = time.Duration(h.Completion)
+	r.Latency = time.Duration(h.Latency())
+	r.Err = h.Err
+	if r.OnComplete != nil {
+		r.OnComplete(r)
+	}
+	close(r.done)
 }
 
 // Wait drives the simulation until r completes and returns its access
 // outcome, or an error if r was never submitted.
 func (dev *Device) Wait(r *Request) error {
-	if r.inner == nil {
+	if r.done == nil {
 		return fmt.Errorf("envy: Wait on a request that was never submitted")
 	}
 	dev.mu.Lock()
 	if !r.inner.Completed() {
-		dev.eng.ServeUntilDone(r.inner)
+		dev.eng.ServeUntilDone(&r.inner)
 	}
 	dev.mu.Unlock()
 	<-r.done
@@ -664,10 +669,13 @@ func (dev *Device) WriteWord(addr uint64, v uint32) time.Duration {
 	return time.Duration(dev.d.WriteWord(addr, v))
 }
 
-// Read fills p from addr, one word-sized host access at a time, and
-// returns the cumulative latency. An out-of-range access panics, as a
-// wild pointer through a real memory bus would fault; hosts that
-// cannot trust their addresses should use ReadErr.
+// Read fills p from addr and returns the cumulative latency. On the
+// simulated clock that is one word-sized host access per 32-bit word
+// (§1); the simulator itself services each page's words in runs (see
+// DESIGN.md §18), with results identical to a word-at-a-time walk. An
+// out-of-range access panics, as a wild pointer through a real memory
+// bus would fault; hosts that cannot trust their addresses should use
+// ReadErr.
 func (dev *Device) Read(p []byte, addr uint64) time.Duration {
 	dev.mu.Lock()
 	defer dev.mu.Unlock()
@@ -684,9 +692,9 @@ func (dev *Device) ReadErr(p []byte, addr uint64) (time.Duration, error) {
 	return time.Duration(lat), err
 }
 
-// Write stores p at addr, one word-sized host access at a time, and
-// returns the cumulative latency. An out-of-range access panics; see
-// Read.
+// Write stores p at addr and returns the cumulative latency — in
+// simulated time one word-sized host access per 32-bit word, as Read.
+// An out-of-range access panics; see Read.
 func (dev *Device) Write(p []byte, addr uint64) time.Duration {
 	dev.mu.Lock()
 	defer dev.mu.Unlock()

@@ -55,6 +55,11 @@ type Tree struct {
 	root   uint64
 	next   uint64 // bump allocator cursor
 	height int    // 1 = root is a leaf
+
+	// word is the tree-walk's read/write buffer. A local array would
+	// escape through the Memory interface and cost one heap allocation
+	// per probed key; the tree is single-threaded, like the device.
+	word [8]byte
 }
 
 // KV is one key/value pair for bulk loading.
@@ -193,9 +198,7 @@ func (t *Tree) writeNode(addr uint64, nd *node) {
 func (t *Tree) Search(key uint64) (uint64, bool) {
 	addr := t.root
 	for level := 0; ; level++ {
-		var hdr [2]byte
-		t.mem.Read(hdr[:], addr)
-		leaf, n := hdr[0] == 0, int(hdr[1])
+		leaf, n := t.readNodeHeader(addr)
 		idx, exact := t.probe(addr, n, key)
 		if leaf {
 			if exact {
@@ -231,34 +234,34 @@ func (t *Tree) probe(addr uint64, n int, key uint64) (int, bool) {
 	return lo, false
 }
 
-func (t *Tree) readKey(addr uint64, i int) uint64 {
-	var b [8]byte
-	t.mem.Read(b[:], addr+offKeys+uint64(i)*8)
-	return binary.LittleEndian.Uint64(b[:])
+// readNodeHeader reads the two header bytes of the node at addr.
+func (t *Tree) readNodeHeader(addr uint64) (leaf bool, n int) {
+	t.mem.Read(t.word[:2], addr)
+	return t.word[0] == 0, int(t.word[1])
 }
 
-func (t *Tree) readPtr(addr uint64, i int) uint64 {
-	var b [8]byte
-	t.mem.Read(b[:], addr+offPtrs+uint64(i)*8)
-	return binary.LittleEndian.Uint64(b[:])
+func (t *Tree) readWord(addr uint64) uint64 {
+	t.mem.Read(t.word[:], addr)
+	return binary.LittleEndian.Uint64(t.word[:])
 }
+
+func (t *Tree) readKey(addr uint64, i int) uint64 { return t.readWord(addr + offKeys + uint64(i)*8) }
+
+func (t *Tree) readPtr(addr uint64, i int) uint64 { return t.readWord(addr + offPtrs + uint64(i)*8) }
 
 // Update overwrites the value stored under an existing key and reports
 // whether the key was found.
 func (t *Tree) Update(key, value uint64) bool {
 	addr := t.root
 	for {
-		var hdr [2]byte
-		t.mem.Read(hdr[:], addr)
-		leaf, n := hdr[0] == 0, int(hdr[1])
+		leaf, n := t.readNodeHeader(addr)
 		idx, exact := t.probe(addr, n, key)
 		if leaf {
 			if !exact {
 				return false
 			}
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], value)
-			t.mem.Write(b[:], addr+offPtrs+uint64(idx)*8)
+			binary.LittleEndian.PutUint64(t.word[:], value)
+			t.mem.Write(t.word[:], addr+offPtrs+uint64(idx)*8)
 			return true
 		}
 		child := idx

@@ -221,6 +221,12 @@ type Engine struct {
 
 	lastWearCleans int64   // SegmentCleans at the last wear swap (rate limiter)
 	wearMark       []int64 // per-segment erase count when last wear-swapped
+	swaps          int64   // lifetime wear swaps; unlike counters.WearSwaps, never reset
+
+	// wearQuiet memoises levelWearOnce's last "no swap" verdict, valid
+	// while wearKey() still equals wearQuietAt.
+	wearQuiet   bool
+	wearQuietAt wearKey
 
 	// Greedy state.
 	active int // segment accepting flushes

@@ -338,3 +338,60 @@ func TestNoRedistributeAblation(t *testing.T) {
 			costs[false], costs[true])
 	}
 }
+
+// TestWearMemoSurvivesResetStats pins the wear-verdict memo against the
+// one thing that could silently defeat it: measurement counters being
+// zeroed between two cleans (Device.ResetStats after warm-up). Twin
+// engines take the same skewed write stream with the counters reset at
+// the same random instants; one keeps its memo, the other has it
+// cleared before every write so that it rescans every segment the way
+// the engine did before the memo existed. A memo keyed on a counter
+// that Reset rewinds would revisit an old key with new erase counts
+// behind it and sit on a due swap; keyed on the array's lifetime erase
+// total it cannot, and the twins stay in lockstep.
+func TestWearMemoSurvivesResetStats(t *testing.T) {
+	for _, cfg := range []Config{
+		{Kind: Hybrid, PartitionSegments: 1, WearThreshold: 2},
+		{Kind: Hybrid, PartitionSegments: 4, WearThreshold: 3},
+		{Kind: Greedy, WearThreshold: 2},
+	} {
+		memo, rescan := newHarness(t, cfg), newHarness(t, cfg)
+		memo.Load()
+		rescan.Load()
+		r := sim.NewRNG(9)
+		dist := sim.Bimodal{HotData: 0.02, HotAccess: 0.98}
+		n := memo.LogicalPages()
+		var swaps int64
+		for i := 0; i < 30*n; i++ {
+			// First half: reset right after every clean, so a key built
+			// from the resettable counters would read the same after each
+			// one. Second half: reset at random instants.
+			if first := i < 15*n; first && memo.Counters().SegmentCleans > 0 || !first && r.Intn(97) == 0 {
+				swaps += memo.Counters().WearSwaps
+				memo.ResetCounters()
+				rescan.ResetCounters()
+			}
+			lpn := uint32(dist.Draw(r, n))
+			rescan.Engine().wearQuiet = false
+			memo.Write(lpn)
+			rescan.Write(lpn)
+			if a, b := memo.Counters(), rescan.Counters(); a != b {
+				t.Fatalf("%v write %d: memoised engine %+v, rescanning engine %+v", cfg.Kind, i, a, b)
+			}
+			if a, b := memo.Engine().Spare(), rescan.Engine().Spare(); a != b {
+				t.Fatalf("%v write %d: spare %d vs %d", cfg.Kind, i, a, b)
+			}
+			if e := memo.Engine(); e.wearQuiet && e.wearQuietAt == e.wearKey() {
+				if _, _, due := e.wearDue(); due {
+					t.Fatalf("%v write %d: memo says quiet while a swap is due", cfg.Kind, i)
+				}
+			}
+		}
+		if swaps+memo.Counters().WearSwaps == 0 {
+			t.Errorf("%v: no wear swap ever happened; the test exercised nothing", cfg.Kind)
+		}
+		if err := memo.CheckMapping(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -66,6 +66,7 @@ func (e *Engine) RecoverIntent() (IntentKind, []Step, error) {
 		e.spare = in.Young
 		e.partOf[in.Young] = -1
 		e.counters.WearSwaps++
+		e.swaps++
 		e.lastWearCleans = e.counters.SegmentCleans
 		e.wearMark[in.Old] = e.arr.EraseCount(in.Old)
 	default:

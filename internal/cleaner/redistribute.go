@@ -229,17 +229,31 @@ func (e *Engine) maybeLevelWear() bool {
 	return e.levelWearOnce()
 }
 
-// levelWearOnce performs one wear swap if the spread condition calls
-// for it, reporting whether it swapped. Callers own the pacing:
-// maybeLevelWear rations it to one swap per clean, LevelWearAtMount
-// loops it until the spread bound holds.
-func (e *Engine) levelWearOnce() bool {
+// wearKey is everything wearDue's verdict depends on besides the fixed
+// threshold: per-segment erase counts change only with an erase (the
+// array's lifetime total — not stats.Counters.Erases, which ResetStats
+// zeroes and recovery's re-erases bypass), wear marks only with a swap,
+// and the spare with either or with intent recovery. All three only
+// ever grow or change together with one that does, so equal keys mean
+// an unchanged verdict.
+type wearKey struct {
+	erases, swaps int64
+	spare         int
+}
+
+func (e *Engine) wearKey() wearKey {
+	return wearKey{erases: e.arr.TotalErases(), swaps: e.swaps, spare: e.spare}
+}
+
+// wearDue scans for the wear-swap candidates and reports whether the
+// spread between them calls for a swap.
+func (e *Engine) wearDue() (oldSeg, youngSeg int, due bool) {
 	geo := e.arr.Geometry()
 	// The "old" candidate is the most-cycled segment that has seen
 	// regular wear since it was last swapped: a segment retired to
 	// cold duty keeps its historical count, and re-swapping it would
 	// only add wear (the swap itself erases it) without helping.
-	oldSeg, youngSeg := -1, -1
+	oldSeg, youngSeg = -1, -1
 	var oldN, youngN int64
 	for seg := 0; seg < geo.Segments; seg++ {
 		if seg == e.spare {
@@ -253,7 +267,24 @@ func (e *Engine) levelWearOnce() bool {
 			youngSeg, youngN = seg, n
 		}
 	}
-	if oldSeg == -1 || oldSeg == youngSeg || oldN-youngN <= e.cfg.WearThreshold {
+	due = oldSeg != -1 && oldSeg != youngSeg && oldN-youngN > e.cfg.WearThreshold
+	return oldSeg, youngSeg, due
+}
+
+// levelWearOnce performs one wear swap if the spread condition calls
+// for it, reporting whether it swapped. Callers own the pacing:
+// maybeLevelWear rations it to one swap per clean, LevelWearAtMount
+// loops it until the spread bound holds. An unspent clean credit
+// brings every flush here; the segment scan is skipped while nothing
+// its last "no swap" verdict depended on has changed (wearKey).
+func (e *Engine) levelWearOnce() bool {
+	key := e.wearKey()
+	if e.wearQuiet && key == e.wearQuietAt {
+		return false
+	}
+	oldSeg, youngSeg, due := e.wearDue()
+	if !due {
+		e.wearQuiet, e.wearQuietAt = true, key
 		return false
 	}
 	spare := e.spare
@@ -273,6 +304,7 @@ func (e *Engine) levelWearOnce() bool {
 	e.spare = youngSeg
 	e.partOf[youngSeg] = -1
 	e.counters.WearSwaps++
+	e.swaps++
 	e.lastWearCleans++ // consume one clean-funded credit
 	e.wearMark[oldSeg] = e.arr.EraseCount(oldSeg)
 	e.intent = Intent{}

@@ -126,6 +126,7 @@ func (d *Device) expandFullPage(frame *sram.Frame) bool {
 		ppn, work = d.eng.Flush(lpn, frame.Home, frame.Data)
 	}
 	d.flushPPN[lpn] = ppn
+	d.inflightOn(ppn, +1)
 	d.stampFlush(ppn)
 
 	for _, st := range work {
@@ -146,6 +147,32 @@ func (d *Device) expandFullPage(frame *sram.Frame) bool {
 	return true
 }
 
+// inflightOn adjusts the in-flight flush count of the bank owning ppn
+// by delta (±1): called wherever a flushPPN reservation or a
+// diffInflight unit is added, removed, or relocated by the cleaner.
+func (d *Device) inflightOn(ppn uint32, delta int) {
+	d.inflightBank[d.bankOf(ppn)] += delta
+}
+
+// CheckInflightBanks verifies the per-bank in-flight counters against a
+// recount of the flush reservations and in-flight diff units; the
+// invariant checker calls it.
+func (d *Device) CheckInflightBanks() error {
+	want := make([]int, len(d.inflightBank))
+	for _, ppn := range d.flushPPN {
+		want[d.bankOf(ppn)]++
+	}
+	for _, u := range d.diffInflight {
+		want[d.bankOf(u.ppn)]++
+	}
+	for bank, n := range d.inflightBank {
+		if n != want[bank] {
+			return fmt.Errorf("core: bank %d counts %d in-flight flushes, the reservations recount to %d", bank, n, want[bank])
+		}
+	}
+	return nil
+}
+
 // bankOccupied reports whether bank already has depth in-flight
 // flushes or a running operation holds its claim — the banks a §6
 // concurrent flush placement should steer around. The first lane-count
@@ -153,23 +180,8 @@ func (d *Device) expandFullPage(frame *sram.Frame) bool {
 // deeper pipeline top-ups use depth 2 (a successor queued behind each
 // programming bank, ready the instant it completes).
 func (d *Device) bankOccupied(bank, depth int) bool {
-	geo := d.cfg.Geometry
-	queued := 0
-	for _, ppn := range d.flushPPN {
-		seg, _ := geo.Split(ppn)
-		if geo.BankOf(seg) == bank {
-			if queued++; queued >= depth {
-				return true
-			}
-		}
-	}
-	for _, u := range d.diffInflight {
-		seg, _ := geo.Split(u.ppn)
-		if geo.BankOf(seg) == bank {
-			if queued++; queued >= depth {
-				return true
-			}
-		}
+	if d.inflightBank[bank] >= depth {
+		return true
 	}
 	if d.hostConc > 1 {
 		// Multi-outstanding mode: host accesses overlap background work,
@@ -193,32 +205,29 @@ func (d *Device) bankOccupied(bank, depth int) bool {
 // unpredictable; the caller falls back to plain FIFO (progress beats
 // placement).
 func (d *Device) pickFlushFrame() *sram.Frame {
-	geo := d.cfg.Geometry
-	// One pass over the in-flight set up front, so the per-frame test
-	// below is O(1) instead of rescanning it for every buffered frame.
-	occupied := make([]bool, geo.Banks)
-	for _, ppn := range d.flushPPN {
-		seg, _ := geo.Split(ppn)
-		occupied[geo.BankOf(seg)] = true
-	}
-	for _, u := range d.diffInflight {
-		seg, _ := geo.Split(u.ppn)
-		occupied[geo.BankOf(seg)] = true
-	}
+	// A frame's verdict depends only on its home, and nothing below
+	// mutates the engine or the claims, so each home is judged once per
+	// pick: 0 not yet judged, +1 acceptable, -1 rejected.
+	clear(d.pickHome)
 	var found *sram.Frame
 	d.buf.Frames(func(f *sram.Frame) {
-		if found != nil || f.Flushing {
+		if found != nil || f.Flushing || f.Home < 0 || f.Home >= len(d.pickHome) {
 			return
 		}
-		seg := d.eng.PeekFlushSegment(f.Home)
-		if seg < 0 {
-			return
+		v := d.pickHome[f.Home]
+		if v == 0 {
+			v = -1
+			if seg := d.eng.PeekFlushSegment(f.Home); seg >= 0 {
+				bank := d.cfg.Geometry.BankOf(seg)
+				if d.inflightBank[bank] == 0 && !(d.hostConc == 1 && d.banks.Busy(bank)) {
+					v = 1
+				}
+			}
+			d.pickHome[f.Home] = v
 		}
-		bank := geo.BankOf(seg)
-		if occupied[bank] || (d.hostConc == 1 && d.banks.Busy(bank)) {
-			return
+		if v > 0 {
+			found = f
 		}
-		found = f
 	})
 	return found
 }
@@ -268,6 +277,7 @@ func (d *Device) finishFlush(lpn uint32) {
 		panic(fmt.Sprintf("core: finishing flush of page %d with no record", lpn))
 	}
 	delete(d.flushPPN, lpn)
+	d.inflightOn(ppn, -1)
 	frame := d.buf.Lookup(lpn)
 	if frame == nil || !frame.Flushing {
 		panic(fmt.Sprintf("core: finishing flush of page %d with no flushing frame", lpn))

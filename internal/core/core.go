@@ -262,9 +262,15 @@ func (c *Config) setDefaults() error {
 // Device is the simulated eNVy storage system. It is not safe for
 // concurrent use: the host memory bus serializes accesses.
 type Device struct {
-	cfg   Config
-	arr   *flash.Array
-	buf   *sram.Buffer
+	cfg Config
+	arr *flash.Array
+	buf *sram.Buffer
+
+	// table is read with LookupOwned throughout the controller: every
+	// mutation runs under the front end's device mutex or a lane's
+	// admission lock, which the reader holds too, so the shard RWMutex
+	// round trip per host access buys nothing here. Only readers outside
+	// those locks (envy.Device.prepare's diagnostic lookup) take it.
 	table *pagetable.Table
 	mmu   *pagetable.MMU
 	eng   *cleaner.Engine
@@ -314,6 +320,17 @@ type Device struct {
 	// flight, where its eagerly programmed Flash copy currently lives
 	// (the cleaner may relocate it mid-flush).
 	flushPPN map[uint32]uint32
+
+	// inflightBank counts, per Flash bank, the in-flight flush programs
+	// (flushPPN reservations plus diffInflight units) targeting it — the
+	// §6 placement tests read it instead of rescanning both maps per
+	// candidate bank. inflightOn maintains it wherever an entry is
+	// added, removed or relocated; CheckInflightBanks recounts it.
+	inflightBank []int
+
+	// pickHome is pickFlushFrame's per-pick memo of each home
+	// partition's placement verdict, reused across picks.
+	pickHome []int8
 
 	// policy is the pluggable write-back expansion (Config.FlushPolicy).
 	policy flushPolicy
@@ -377,11 +394,14 @@ func New(cfg Config) (*Device, error) {
 		mmu:      pagetable.NewMMU(cfg.MMUEntries, cfg.PTLookup),
 		flushPPN: make(map[uint32]uint32),
 		shadows:  make(map[uint32]*shadow),
+
+		inflightBank: make([]int, cfg.Geometry.Banks),
 	}
 	d.eng, err = cleaner.New(arr, cfg.Cleaning, d.remap, &d.counters)
 	if err != nil {
 		return nil, err
 	}
+	d.pickHome = make([]int8, d.eng.Partitions())
 	d.policy = fullPagePolicy{}
 	if cfg.FlushPolicy == DiffFlush {
 		d.policy = diffPolicy{}
@@ -573,6 +593,8 @@ func (d *Device) remap(logical, oldPPN, newPPN uint32) {
 		// referencing it — or, mid-program, the in-flight record.
 		for _, seq := range sortedDiffSeqs(d.diffInflight) {
 			if u := d.diffInflight[seq]; u.ppn == oldPPN {
+				d.inflightOn(oldPPN, -1)
+				d.inflightOn(newPPN, +1)
 				u.ppn = newPPN
 				for i := range u.members {
 					u.members[i].loc.Unit = newPPN
@@ -584,6 +606,8 @@ func (d *Device) remap(logical, oldPPN, newPPN uint32) {
 		return
 	}
 	if ppn, flushing := d.flushPPN[logical]; flushing && ppn == oldPPN {
+		d.inflightOn(oldPPN, -1)
+		d.inflightOn(newPPN, +1)
 		d.flushPPN[logical] = newPPN
 		return
 	}
@@ -596,7 +620,7 @@ func (d *Device) remap(logical, oldPPN, newPPN uint32) {
 		}
 		return
 	}
-	if loc, ok := d.table.Lookup(logical); ok && !loc.InSRAM && loc.PPN == oldPPN {
+	if loc, ok := d.table.LookupOwned(logical); ok && !loc.InSRAM && loc.PPN == oldPPN {
 		if d.dir != nil {
 			if e := d.dir.Entry(logical); e != nil && e.Base == oldPPN {
 				d.dir.Rebase(logical, oldPPN, newPPN)
@@ -803,11 +827,14 @@ func (d *Device) AdvanceTo(t sim.Time) {
 	d.now = t
 }
 
-// translate charges the translation cost for one host access.
-func (d *Device) translate(page uint32) sim.Duration {
-	cost := d.mmuFor(page).Translate(page)
+// translate charges the translation cost of up to max back-to-back
+// host accesses to one page — as many as cost the same, see
+// pagetable.MMU.TranslateRun — and returns that count with the
+// translation latency of each.
+func (d *Device) translate(page uint32, max int) (int, sim.Duration) {
+	n, cost := d.mmuFor(page).TranslateRun(page, max)
 	if cost == 0 {
-		d.counters.MMUHits++
+		d.counters.MMUHits += int64(n)
 	} else {
 		d.counters.MMUMisses++
 		if d.mt != nil {
@@ -818,7 +845,7 @@ func (d *Device) translate(page uint32) sim.Duration {
 			cost = d.mt.Access(page)
 		}
 	}
-	return d.cfg.BusOverhead + cost
+	return n, d.cfg.BusOverhead + cost
 }
 
 // setFlash points a logical page's table entry at a Flash copy,
@@ -944,7 +971,7 @@ func (d *Device) ReadWord(addr uint64) (uint32, sim.Duration) {
 // instead of panicking, with no time charged and no state changed.
 func (d *Device) ReadWordErr(addr uint64) (uint32, sim.Duration, error) {
 	var buf [4]byte
-	lat, err := d.read(addr, buf[:])
+	lat, err := d.access(false, buf[:], addr)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -966,15 +993,16 @@ func (d *Device) WriteWord(addr uint64, v uint32) sim.Duration {
 // returning an *AccessError instead of panicking. Under fault
 // injection a *fault.Crash return means the power failed mid-write:
 // the write is not acknowledged and the device is down until recovery.
-func (d *Device) WriteWordErr(addr uint64, v uint32) (lat sim.Duration, err error) {
-	defer d.catchCrash(&err)
-	return d.write(addr, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+func (d *Device) WriteWordErr(addr uint64, v uint32) (sim.Duration, error) {
+	buf := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
+	return d.access(true, buf[:], addr)
 }
 
-// Read copies len(p) bytes starting at addr into p, issuing one host
-// access per 32-bit word (the paper's word-sized interface, §1), and
-// returns the total latency. Accesses may span pages. Out-of-range
-// accesses panic; use ReadErr on untrusted addresses.
+// Read copies len(p) bytes starting at addr into p and returns the
+// total latency. On the simulated clock this is one host access per
+// 32-bit word (the paper's word-sized interface, §1); see access for
+// how the simulator charges them. Accesses may span pages.
+// Out-of-range accesses panic; use ReadErr on untrusted addresses.
 func (d *Device) Read(p []byte, addr uint64) sim.Duration {
 	lat, err := d.ReadErr(p, addr)
 	if err != nil {
@@ -987,27 +1015,12 @@ func (d *Device) Read(p []byte, addr uint64) sim.Duration {
 // out-of-range access returns an *AccessError instead of panicking,
 // with no time charged and no state changed.
 func (d *Device) ReadErr(p []byte, addr uint64) (sim.Duration, error) {
-	if _, err := d.checkAddr(addr, len(p)); err != nil {
-		return 0, err
-	}
-	var total sim.Duration
-	for off := 0; off < len(p); off += 4 {
-		end := off + 4
-		if end > len(p) {
-			end = len(p)
-		}
-		lat, err := d.read(addr+uint64(off), p[off:end])
-		total += lat
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return d.access(false, p, addr)
 }
 
-// Write stores p starting at addr, one 32-bit word per host access,
-// and returns the total latency. Out-of-range accesses panic; use
-// WriteErr on untrusted addresses.
+// Write stores p starting at addr — on the simulated clock one 32-bit
+// word per host access — and returns the total latency. Out-of-range
+// accesses panic; use WriteErr on untrusted addresses.
 func (d *Device) Write(p []byte, addr uint64) sim.Duration {
 	lat, err := d.WriteErr(p, addr)
 	if err != nil {
@@ -1021,115 +1034,173 @@ func (d *Device) Write(p []byte, addr uint64) sim.Duration {
 // return means the power failed part-way: words written before the
 // failure are durable (they reached battery-backed SRAM), the rest
 // never happened.
-func (d *Device) WriteErr(p []byte, addr uint64) (total sim.Duration, err error) {
+func (d *Device) WriteErr(p []byte, addr uint64) (sim.Duration, error) {
+	return d.access(true, p, addr)
+}
+
+// wordBytes is the host interface width (§1, §5.1).
+const wordBytes = 4
+
+// access is the page-span access kernel behind every host read and
+// write. The simulated host issues one access per 32-bit word; the
+// simulator does not walk the controller path once per word. The range
+// is checked once, the request is cut at page boundaries, and each
+// page's words are serviced in runs (readRun, writeRun): a run is the
+// longest stretch of words that are provably identical accesses, and is
+// accounted in closed form — counters += n, time += n·lat, one copy. A
+// single word is the n = 1 case of the same functions.
+//
+// Words are the 4-byte chunks addr, addr+4, …; a word that straddles a
+// page boundary (possible only when addr is misaligned) is rejected
+// with a Boundary error after the words before it were serviced. The
+// returned latency is the total of the words serviced, also on error.
+func (d *Device) access(write bool, p []byte, addr uint64) (total sim.Duration, err error) {
 	if _, err := d.checkAddr(addr, len(p)); err != nil {
 		return 0, err
 	}
 	defer d.catchCrash(&err)
-	for off := 0; off < len(p); off += 4 {
-		end := off + 4
-		if end > len(p) {
-			end = len(p)
+	ps := d.cfg.Geometry.PageSize
+	for len(p) > 0 {
+		if d.crashed {
+			return total, ErrCrashed
 		}
-		lat, err := d.write(addr+uint64(off), p[off:end])
+		page := uint32(addr / uint64(ps))
+		off := int(addr % uint64(ps))
+		span := len(p)
+		if fit := ps - off; span > fit {
+			// Whole words only up to the boundary; the request continues
+			// on the next page, or stops at a straddling word.
+			if span = fit &^ (wordBytes - 1); span == 0 {
+				return total, &AccessError{Addr: addr, Len: min(len(p), wordBytes), Size: d.Size(), Boundary: true}
+			}
+		}
+		var lat sim.Duration
+		if write {
+			span, lat = d.writeRun(page, off, p[:span])
+		} else {
+			span, lat = d.readRun(page, off, p[:span])
+		}
 		total += lat
-		if err != nil {
-			return total, err
-		}
+		p = p[span:]
+		addr += uint64(span)
 	}
 	return total, nil
 }
 
-// read performs one host read access of up to 4 bytes within one page.
-// The address is validated before any time is charged.
-func (d *Device) read(addr uint64, p []byte) (sim.Duration, error) {
-	if d.crashed {
-		return 0, ErrCrashed
+// quiescent reports whether a run of back-to-back host accesses can
+// retire no background operation and change no scheduler state beyond
+// the cursor — the precondition for accounting the run in closed form.
+// At host depth 1 accesses only ever Preempt, which never advances an
+// op: the run is uniform once the running set is parked. Above 1 they
+// Overlap, which does advance ops, so the queue must be empty (nothing
+// in a run enqueues: only copy-on-write and background completions do).
+func (d *Device) quiescent() bool {
+	if d.hostConc > 1 {
+		return d.sched.Len() == 0
 	}
-	page, err := d.checkAddr(addr, len(p))
-	if err != nil {
-		return 0, err
+	return d.sched.Parked()
+}
+
+// words is the number of host accesses covering n bytes.
+func words(n int) int { return (n + wordBytes - 1) / wordBytes }
+
+// readRun services the longest run of identical word reads at the head
+// of p — all of p on the page at off when the controller is quiescent
+// and the translation cache holds the page, otherwise one word — and
+// returns the bytes consumed and the run's total latency. The address
+// was validated by access.
+func (d *Device) readRun(page uint32, off int, p []byte) (int, sim.Duration) {
+	n := 1
+	if d.quiescent() {
+		n = words(len(p))
 	}
-	off := int(addr % uint64(d.cfg.Geometry.PageSize))
-	if off+len(p) > d.cfg.Geometry.PageSize {
-		return 0, &AccessError{Addr: addr, Len: len(p), Size: d.Size(), Boundary: true}
+	loc, mapped := d.table.LookupOwned(page)
+	var chain *pagetable.DiffEntry
+	if d.dir != nil && mapped && !loc.InSRAM {
+		// The guard on loc.PPN keeps a chain suppressed while a
+		// full-page flush or transaction has moved the mapping off the
+		// base. A chained word's cost depends on which records overlap
+		// it, so chained pages are read a word at a time.
+		if e := d.dir.Entry(page); e != nil && loc.PPN == e.Base && len(e.Chain) > 0 {
+			chain, n = e, 1
+		}
 	}
-	lat := d.translate(page)
+	n, lat := d.translate(page, n)
+	if len(p) > n*wordBytes {
+		p = p[:n*wordBytes]
+	}
 	bank := -1 // SRAM and unmapped accesses touch no Flash bank
-	loc, mapped := d.table.Lookup(page)
+	var src []byte
 	switch {
 	case !mapped:
 		// Never-written memory reads as zeros at Flash read cost.
 		lat += d.arr.ReadTime()
-		for i := range p {
-			p[i] = 0
-		}
 	case loc.InSRAM:
 		lat += 100 * sim.Nanosecond // battery-backed SRAM access
-		if f := d.buf.Lookup(page); f != nil && f.Data != nil {
-			copy(p, f.Data[off:])
-		} else {
-			for i := range p {
-				p[i] = 0
-			}
+		if f := d.buf.Lookup(page); f != nil {
+			src = f.Data
 		}
 	default:
 		lat += d.arr.ReadTime()
 		bank = d.bankOf(loc.PPN)
-		if data := d.arr.Page(loc.PPN); data != nil {
-			copy(p, data[off:])
-		} else {
-			for i := range p {
-				p[i] = 0
-			}
-		}
-		if d.dir != nil {
-			// Differential policy read-miss merge: when the mapping
-			// points at a chained base, overlay the diff records
-			// covering the read window (the guard on loc.PPN keeps a
-			// chain suppressed while a full-page flush or transaction
-			// has moved the mapping off the base).
-			if e := d.dir.Entry(page); e != nil && loc.PPN == e.Base && len(e.Chain) > 0 {
-				if !d.inTxn && d.buf.Len() < d.highWater() {
-					// Read-side consolidation: a chained page the host
-					// is reading back is worth a frame — pull the
-					// merged image into SRAM exactly as a copy-on-write
-					// would, fully dirty, so repeat reads hit SRAM and
-					// the next drain programs a full page that
-					// supersedes base and chain. The buffer-pressure
-					// guard keeps reads from ever blocking on a frame.
-					return d.readInstall(page, bank, lat, p, off)
-				}
-				lat += d.applyChainWindow(e, p, off)
-			}
-		}
+		src = d.arr.Page(loc.PPN)
 	}
-	d.counters.HostReads++
-	d.completeAccessOn(bank, lat, stats.Reading)
-	d.readLat.Record(lat)
-	return lat, nil
+	if src != nil {
+		copy(p, src[off:])
+	} else {
+		clear(p)
+	}
+	if chain != nil {
+		// Differential policy read-miss merge: overlay the diff records
+		// covering the read window.
+		if !d.inTxn && d.buf.Len() < d.highWater() {
+			// Read-side consolidation: a chained page the host is
+			// reading back is worth a frame — pull the merged image into
+			// SRAM exactly as a copy-on-write would, fully dirty, so
+			// repeat reads hit SRAM and the next drain programs a full
+			// page that supersedes base and chain. The buffer-pressure
+			// guard keeps reads from ever blocking on a frame.
+			return len(p), d.readInstall(page, bank, lat, p, off)
+		}
+		lat += d.applyChainWindow(chain, p, off)
+	}
+	total := sim.Duration(n) * lat
+	d.counters.HostReads += int64(n)
+	d.completeAccessOn(bank, total, stats.Reading)
+	d.readLat.RecordN(lat, int64(n))
+	return len(p), total
 }
 
-// write performs one host write access of up to 4 bytes within a page,
-// executing a copy-on-write (§3.1, Figure 3) if the page is not yet
-// buffered. If the buffer is full the host blocks until a flush frees
-// a frame — the condition behind Figure 15's write-latency jump.
-func (d *Device) write(addr uint64, p []byte) (sim.Duration, error) {
-	if d.crashed {
-		return 0, ErrCrashed
-	}
-	page, err := d.checkAddr(addr, len(p))
-	if err != nil {
-		return 0, err
-	}
-	off := int(addr % uint64(d.cfg.Geometry.PageSize))
-	if off+len(p) > d.cfg.Geometry.PageSize {
-		return 0, &AccessError{Addr: addr, Len: len(p), Size: d.Size(), Boundary: true}
+// writeRun services the longest run of identical word writes at the
+// head of p and returns the bytes consumed and the run's total latency.
+// A write to an unbuffered page is a single access: it executes the
+// copy-on-write (§3.1, Figure 3), blocking first if the buffer is full
+// until a flush frees a frame — the condition behind Figure 15's
+// write-latency jump. Writes to a buffered page, with the controller
+// quiescent and the translation cached, all cost the same and retire
+// together. The address was validated by access.
+func (d *Device) writeRun(page uint32, off int, p []byte) (int, sim.Duration) {
+	// A quiescent controller completes no flush during the run, so the
+	// frame can be resolved up front; otherwise the translation window
+	// below may retire this very page's flush and free its frame.
+	var frame *sram.Frame
+	n := 1
+	quiet := d.quiescent()
+	if quiet {
+		if frame = d.buf.Lookup(page); frame != nil {
+			n = words(len(p))
+		}
 	}
 	start := d.now
-	d.completeAccess(d.translate(page), stats.Writing)
+	n, lat := d.translate(page, n)
+	if len(p) > n*wordBytes {
+		p = p[:n*wordBytes]
+	}
+	d.completeAccess(sim.Duration(n)*lat, stats.Writing)
+	if !quiet {
+		frame = d.buf.Lookup(page)
+	}
 
-	frame := d.buf.Lookup(page)
 	if frame == nil {
 		// Copy-on-write: wait for buffer space if necessary (time
 		// passes inside waitForFrame, charged to the background work
@@ -1137,13 +1208,13 @@ func (d *Device) write(addr uint64, p []byte) (sim.Duration, error) {
 		// one wide bank transfer.
 		d.waitForFrame()
 		srcBank := -1
-		if loc, ok := d.table.Lookup(page); ok && !loc.InSRAM {
+		if loc, ok := d.table.LookupOwned(page); ok && !loc.InSRAM {
 			srcBank = d.bankOf(loc.PPN)
 		}
 		frame = d.copyOnWrite(page)
 		d.completeAccessOn(srcBank, d.arr.TransferTime(), stats.Writing)
 	} else {
-		d.counters.BufferHits++
+		d.counters.BufferHits += int64(n)
 		d.captureShadow(page, frame)
 		if frame.Flushing {
 			// The in-flight Flash copy is stale the moment this write
@@ -1152,16 +1223,16 @@ func (d *Device) write(addr uint64, p []byte) (sim.Duration, error) {
 			d.syncFlushTarget(page)
 		}
 	}
-	d.completeAccess(100*sim.Nanosecond, stats.Writing) // SRAM write cycle
+	d.completeAccess(sim.Duration(n)*100*sim.Nanosecond, stats.Writing) // SRAM write cycles
 	if frame.Data != nil {
 		copy(frame.Data[off:], p)
 	}
 	frame.MarkDirty(off, off+len(p))
-	d.counters.HostWrites++
+	d.counters.HostWrites += int64(n)
 	d.maybeScheduleFlush()
-	lat := d.now.Sub(start)
-	d.writeLat.Record(lat)
-	return lat, nil
+	total := d.now.Sub(start)
+	d.writeLat.RecordN(total/sim.Duration(n), int64(n))
+	return len(p), total
 }
 
 // syncFlushTarget joins any worker-lane payload copy still reading the
@@ -1187,7 +1258,7 @@ func (d *Device) syncFlushTarget(lpn uint32) {
 // page, which the recovery sweep reclaims. The opposite order would
 // open a window with no copy of the page reachable at all.
 func (d *Device) copyOnWrite(page uint32) *sram.Frame {
-	loc, mapped := d.table.Lookup(page)
+	loc, mapped := d.table.LookupOwned(page)
 	hasFlash := mapped && !loc.InSRAM
 	var payload []byte
 	home := d.eng.Home(page, hasFlash, loc.PPN)

@@ -261,6 +261,7 @@ func (d *Device) expandDiff(first *sram.Frame) bool {
 	d.diffSeq++
 	seq := d.diffSeq
 	d.diffInflight[seq] = u
+	d.inflightOn(ppn, +1)
 	d.counters.Flushes += int64(len(members))
 	d.counters.DiffUnitPrograms++
 	d.counters.DiffRecordsWritten += int64(len(members))
@@ -295,6 +296,7 @@ func (d *Device) finishDiffFlush(seq uint64) {
 		panic(fmt.Sprintf("core: finishing diff unit %d with no record", seq))
 	}
 	delete(d.diffInflight, seq)
+	d.inflightOn(u.ppn, -1)
 	live := 0
 	for _, m := range u.members {
 		frame := d.buf.Lookup(m.lpn)
@@ -387,14 +389,15 @@ func (d *Device) applyChainWindow(e *pagetable.DiffEntry, dst []byte, off int) s
 	return lat
 }
 
-// readInstall finishes a host read of a chained page by consolidating
-// it into SRAM (differential policy only): the accrued read cost plus
-// the wide transfer is charged, then the merged base∪chain image is
-// pulled into a frame through the ordinary copy-on-write — marked
-// fully dirty, so its next drain is a full-page flush that supersedes
-// base and chain. Repeat reads of the page hit SRAM at buffer speed;
-// the chain's unit references die when the consolidating flush lands.
-func (d *Device) readInstall(page uint32, bank int, lat sim.Duration, p []byte, off int) (sim.Duration, error) {
+// readInstall finishes a one-word host read of a chained page by
+// consolidating it into SRAM (differential policy only): the accrued
+// read cost plus the wide transfer is charged, then the merged
+// base∪chain image is pulled into a frame through the ordinary
+// copy-on-write — marked fully dirty, so its next drain is a full-page
+// flush that supersedes base and chain. Repeat reads of the page hit
+// SRAM at buffer speed; the chain's unit references die when the
+// consolidating flush lands.
+func (d *Device) readInstall(page uint32, bank int, lat sim.Duration, p []byte, off int) sim.Duration {
 	lat += d.arr.TransferTime()
 	d.completeAccessOn(bank, lat, stats.Reading)
 	t0 := d.now
@@ -407,7 +410,7 @@ func (d *Device) readInstall(page uint32, bank int, lat sim.Duration, p []byte, 
 	lat += d.now.Sub(t0)
 	d.counters.HostReads++
 	d.readLat.Record(lat)
-	return lat, nil
+	return lat
 }
 
 // dropEntry removes a page's diff entry: unit pages whose last record
@@ -445,7 +448,7 @@ func (d *Device) shadowHoldsBase(lpn, ppn uint32) bool {
 func (d *Device) commitShadowBase(lpn, ppn uint32) {
 	if d.dir != nil {
 		if e := d.dir.Entry(lpn); e != nil && e.Base == ppn {
-			if loc, ok := d.table.Lookup(lpn); ok && loc.InSRAM {
+			if loc, ok := d.table.LookupOwned(lpn); ok && loc.InSRAM {
 				d.dir.SetKeptBase(lpn, true)
 				return
 			}
@@ -468,7 +471,7 @@ func (d *Device) consolidateForClean(logical, oldPPN uint32) ([]byte, func(newPP
 	if e == nil || e.Base != oldPPN || len(e.Chain) == 0 {
 		return nil, nil, false
 	}
-	if loc, ok := d.table.Lookup(logical); !ok || loc.InSRAM || loc.PPN != oldPPN {
+	if loc, ok := d.table.LookupOwned(logical); !ok || loc.InSRAM || loc.PPN != oldPPN {
 		return nil, nil, false
 	}
 	payload, _ := d.mergedPage(logical, oldPPN)

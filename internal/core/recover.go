@@ -37,6 +37,7 @@ func (d *Device) RecoverFlushes() (discarded int, err error) {
 			return discarded, fmt.Errorf("core: flush reservation for page %d has no buffered frame", lpn)
 		}
 		delete(d.flushPPN, lpn)
+		d.inflightOn(ppn, -1)
 		switch st := d.arr.State(ppn); st {
 		case flash.Torn:
 			d.arr.Quarantine(ppn)
@@ -75,6 +76,7 @@ func (d *Device) RecoverDiffFlushes() (discarded, dropped int, err error) {
 	for _, seq := range sortedDiffSeqs(d.diffInflight) {
 		u := d.diffInflight[seq]
 		delete(d.diffInflight, seq)
+		d.inflightOn(u.ppn, -1)
 		for _, m := range u.members {
 			frame := d.buf.Lookup(m.lpn)
 			if frame == nil {
@@ -100,7 +102,7 @@ func (d *Device) RecoverDiffFlushes() (discarded, dropped int, err error) {
 	}
 	var fix, drop []uint32
 	d.dir.Entries(func(lpn uint32, e *pagetable.DiffEntry) {
-		loc, ok := d.table.Lookup(lpn)
+		loc, ok := d.table.LookupOwned(lpn)
 		switch {
 		case e.KeptBase && ok && !loc.InSRAM && loc.PPN == e.Base:
 			fix = append(fix, lpn)
@@ -146,7 +148,7 @@ func (d *Device) ClearStrayFlushing() int {
 func (d *Device) SweepOrphans() int {
 	claimed := make(map[uint32]bool)
 	for lpn := 0; lpn < d.table.Len(); lpn++ {
-		if loc, ok := d.table.Lookup(uint32(lpn)); ok && !loc.InSRAM {
+		if loc, ok := d.table.LookupOwned(uint32(lpn)); ok && !loc.InSRAM {
 			claimed[loc.PPN] = true
 		}
 	}

@@ -59,6 +59,11 @@ type Request struct {
 	// completes, before the engine services anything else.
 	OnComplete func(*Request)
 
+	// Owner is an opaque back-pointer for a layer that embeds the
+	// request in its own type: one static OnComplete func recovers the
+	// owner from it instead of allocating a closure per request.
+	Owner any
+
 	firstPage, lastPage uint32
 	completed           bool
 }

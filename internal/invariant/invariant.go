@@ -123,6 +123,11 @@ func CheckDevice(d *core.Device) error {
 	if armed, inflight := d.Scheduler().PendingDone(stats.OpDiffFlush), d.DiffInflightCount(); armed != inflight {
 		return fmt.Errorf("invariant: %d armed diff-flush completions but %d in-flight diff units", armed, inflight)
 	}
+	// The §6 placement reads per-bank in-flight counters instead of
+	// these records; they must recount exactly.
+	if err := d.CheckInflightBanks(); err != nil {
+		return err
+	}
 	// Mapping-tier invariants (two-tier page table only): the
 	// translation region's segment counters recount exactly, every
 	// cached mapping page matches the authoritative table, the

@@ -137,11 +137,12 @@ func (t *Table) Raw(logical uint32) uint32 {
 }
 
 // LookupOwned resolves a logical page without touching the shard's
-// read-write lock. Callers must already own the shard through an
-// admission-time resource lock (internal/rlock): execution lanes hold
-// every shard in their footprint exclusively for the whole batch, so
-// the RWMutex round-trip — two contended atomics per host word on the
-// lane hot path — buys nothing there.
+// read-write lock. Callers must already exclude every writer of the
+// shard: the controller, whose table mutations all run under the
+// device mutex it is called with, or an execution lane, which holds
+// every shard in its footprint through an admission-time resource lock
+// (internal/rlock) for the whole batch. The RWMutex round-trip — two
+// atomics per host word on the hot path — buys nothing there.
 func (t *Table) LookupOwned(logical uint32) (loc Location, ok bool) {
 	s, i := t.locate(logical)
 	return decode(s.entries[i])
@@ -258,6 +259,19 @@ func (m *MMU) Translate(logical uint32) sim.Duration {
 	m.misses++
 	m.tags[set] = logical
 	return m.penalty
+}
+
+// TranslateRun translates up to max back-to-back accesses to one
+// logical page, as many as cost the same: all of them when the page is
+// cached (each a hit, cost zero), otherwise just the first (a miss that
+// installs the page, exactly as Translate). It returns how many
+// translations it performed and the added latency of each.
+func (m *MMU) TranslateRun(logical uint32, max int) (n int, cost sim.Duration) {
+	if len(m.tags) != 0 && m.tags[int(logical)%len(m.tags)] == logical {
+		m.lookups += int64(max)
+		return max, 0
+	}
+	return 1, m.Translate(logical)
 }
 
 // Update refreshes the cached entry for a logical page after the page

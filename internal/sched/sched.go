@@ -130,6 +130,15 @@ type Scheduler struct {
 	cursor sim.Time
 	nextID int64
 
+	// parked memoises a Preempt that found nothing left to suspend or
+	// release: no op holds a claim and the whole prospective running set
+	// is already suspended. pick is a pure function of the queue and the
+	// claims, so until one of them changes — Enqueue, Reset, or Run and
+	// Overlap (the only places ops resume, claim and complete), each of
+	// which clears the flag — another Preempt can only move the cursor,
+	// and skips the pick.
+	parked bool
+
 	run       []*Op  // scratch: current running set
 	bankTaken []bool // scratch: banks reserved during pick
 	free      []*Op  // recycled ops for the background hot path
@@ -193,6 +202,7 @@ func (s *Scheduler) Enqueue(op *Op) {
 	op.id = s.nextID
 	op.claimed = false
 	op.suspended = false
+	s.parked = false
 	s.queue = append(s.queue, op)
 	s.ops.Counters(op.Kind).Started++
 }
@@ -251,6 +261,7 @@ func (s *Scheduler) pick() []*Op {
 // resuming after preemptions, asking Expand for work when lanes are
 // free, and charging idle time when there is nothing to do.
 func (s *Scheduler) Run(from, until sim.Time) {
+	s.parked = false
 	if s.cursor < from {
 		s.cursor = from
 	}
@@ -403,13 +414,28 @@ func (s *Scheduler) completeFinished() {
 // Preempt interrupts background work for a host access ending at now:
 // the prospective running set is suspended and its bank claims are
 // released (a suspended program or erase leaves the chips free), and
-// the cursor catches up to the host clock.
+// the cursor catches up to the host clock. Back-to-back host accesses
+// preempt over and over with nothing in between; once a Preempt has
+// found the set already parked (see Scheduler.parked) the rest only
+// move the cursor.
 func (s *Scheduler) Preempt(now sim.Time) {
-	for _, op := range s.pick() {
-		s.suspendOp(op, now)
+	if !s.parked {
+		changed := false
+		for _, op := range s.pick() {
+			if op.claimed || !op.suspended {
+				changed = true
+			}
+			s.suspendOp(op, now)
+		}
+		s.parked = !changed
 	}
 	s.cursor = now
 }
+
+// Parked reports whether the next Preempt is known to change nothing
+// but the cursor. The controller's span kernel accounts a run of host
+// accesses in closed form only while this holds.
+func (s *Scheduler) Parked() bool { return s.parked }
 
 // Overlap advances the background timeline through a host access
 // ending at now, suspending only the operations that touch the
@@ -429,6 +455,7 @@ func (s *Scheduler) Preempt(now sim.Time) {
 // breakdown counts per-resource busy time and its total can exceed
 // wall time — see the package comment on conservation.
 func (s *Scheduler) Overlap(bank int, now sim.Time) {
+	s.parked = false
 	for s.cursor < now {
 		run := s.pick()
 		// Park ops on the accessed bank: the host owns those chips for
@@ -576,6 +603,7 @@ func (s *Scheduler) PendingDone(kind stats.OpKind) int {
 // eager Flash mutations already happened, everything in flight simply
 // stops — and restarts the timeline at now.
 func (s *Scheduler) Reset(now sim.Time) {
+	s.parked = false
 	s.queue = nil
 	s.banks.Reset()
 	s.cursor = now

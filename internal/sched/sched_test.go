@@ -420,3 +420,104 @@ func TestDepthGauge(t *testing.T) {
 		t.Error("Reset did not clear the gauge")
 	}
 }
+
+// TestParkedPreemptOnlyMovesCursor drives random enqueue / run /
+// preempt / overlap sequences, at one lane and at several, and checks
+// the memo behind Preempt's fast path: whenever Parked() holds, a full
+// Preempt — the pick and the suspensions, not the shortcut — would
+// change nothing but the cursor. The reference is a twin scheduler fed
+// the same sequence whose memo is cleared before every Preempt.
+func TestParkedPreemptOnlyMovesCursor(t *testing.T) {
+	kinds := []struct {
+		kind stats.OpKind
+		act  stats.Activity
+	}{
+		{stats.OpFlush, stats.Flushing},
+		{stats.OpCleanCopy, stats.Cleaning},
+		{stats.OpErase, stats.Erasing},
+	}
+	type opState struct { // an Op minus its callbacks, which do not compare
+		kind               stats.OpKind
+		remaining          sim.Duration
+		bank               int
+		id                 int64
+		claimed, suspended bool
+		suspendedAt        sim.Time
+	}
+	type state struct {
+		cursor sim.Time
+		bd     stats.Breakdown
+		os     stats.OpStats
+		ops    []opState
+		owners []int64
+	}
+	snap := func(f *fixture, banks int) state {
+		st := state{cursor: f.s.Cursor(), bd: *f.bd, os: *f.os}
+		for _, o := range f.s.queue {
+			st.ops = append(st.ops, opState{o.Kind, o.Remaining, o.Bank, o.id, o.claimed, o.suspended, o.suspendedAt})
+		}
+		for b := 0; b < banks; b++ {
+			st.owners = append(st.owners, f.s.banks.Owner(b))
+		}
+		return st
+	}
+	equal := func(a, b state) bool {
+		if a.cursor != b.cursor || a.bd != b.bd || a.os != b.os || len(a.ops) != len(b.ops) {
+			return false
+		}
+		for i := range a.ops {
+			if a.ops[i] != b.ops[i] {
+				return false
+			}
+		}
+		for i := range a.owners {
+			if a.owners[i] != b.owners[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, lanes := range []int{1, 2, 4} {
+		const banks = 4
+		rng := sim.NewRNG(uint64(lanes) * 77)
+		memo, ref := newFixture(lanes, banks, Hooks{}), newFixture(lanes, banks, Hooks{})
+		var now sim.Time
+		parkedSeen := 0
+		for step := 0; step < 4000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 2:
+				k := kinds[rng.Intn(len(kinds))]
+				cost, bank := sim.Duration(rng.Intn(400)), rng.Intn(banks)
+				memo.s.Enqueue(op(k.kind, k.act, cost, bank))
+				ref.s.Enqueue(op(k.kind, k.act, cost, bank))
+			case r < 4:
+				until := now.Add(sim.Duration(rng.Intn(20000)))
+				memo.s.Run(now, until)
+				ref.s.Run(now, until)
+				now = until
+			case r < 5:
+				bank := rng.Intn(banks+1) - 1
+				now = now.Add(sim.Duration(1 + rng.Intn(300)))
+				memo.s.Overlap(bank, now)
+				ref.s.Overlap(bank, now)
+			default:
+				now = now.Add(sim.Duration(1 + rng.Intn(200)))
+				if memo.s.Parked() {
+					parkedSeen++
+				}
+				memo.s.Preempt(now)
+				ref.s.parked = false
+				ref.s.Preempt(now)
+			}
+			if a, b := snap(memo, banks), snap(ref, banks); !equal(a, b) {
+				t.Fatalf("lanes=%d step %d: memoised scheduler diverged from the reference\nmemo %+v\nref  %+v", lanes, step, a, b)
+			}
+			if err := memo.s.SelfCheck(); err != nil {
+				t.Fatalf("lanes=%d step %d: %v", lanes, step, err)
+			}
+		}
+		if parkedSeen == 0 {
+			t.Errorf("lanes=%d: the sequence never preempted a parked scheduler", lanes)
+		}
+	}
+}

@@ -46,7 +46,15 @@ func bucketFor(d sim.Duration) int {
 // access path produces a handful of distinct latencies), so the bucket
 // index is memoized: the floating-point log in bucketFor dominates the
 // lane hot path otherwise.
-func (l *Latency) Record(d sim.Duration) {
+func (l *Latency) Record(d sim.Duration) { l.RecordN(d, 1) }
+
+// RecordN adds n samples of the same duration — exactly equivalent to
+// n Record calls, in one step. The controller's span kernel accounts a
+// run of identical word accesses this way.
+func (l *Latency) RecordN(d sim.Duration, n int64) {
+	if n <= 0 {
+		return
+	}
 	v := int64(d)
 	if l.count == 0 || v < l.min {
 		l.min = v
@@ -54,13 +62,13 @@ func (l *Latency) Record(d sim.Duration) {
 	if l.count == 0 || v > l.max {
 		l.max = v
 	}
-	l.count++
-	l.sum += v
+	l.count += n
+	l.sum += n * v
 	if d != l.lastD {
 		l.lastD = d
 		l.lastI = bucketFor(d)
 	}
-	l.buckets[l.lastI]++
+	l.buckets[l.lastI] += n
 }
 
 // Merge folds another histogram's samples into l. Merging is exactly
