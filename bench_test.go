@@ -489,30 +489,37 @@ func BenchmarkTPCATransaction(b *testing.B) {
 // BenchmarkFlushPlacementPar8 isolates the §6 placement control plane
 // the cluster members run: 8-byte writes at host depth 8 with
 // ParallelFlush 8 and the buffer held above its high-water mark, so
-// every few writes expand a flush through pickFlushFrame, bankOccupied
-// and the wear check.
+// every few writes expand a flush through selectFlushFrame,
+// bankOccupied and the wear check. The sub-benchmarks scale the write
+// buffer: the pick reads one candidate-list head per home partition,
+// so its cost must not grow with the number of buffered frames.
 func BenchmarkFlushPlacementPar8(b *testing.B) {
-	cfg := envy.SmallConfig()
-	cfg.ParallelFlush, cfg.HostQueueDepth = 8, 8
-	dev, pages := agedDevice(b, cfg)
-	defer dev.Close()
-	rng := sim.NewRNG(1)
-	word := make([]byte, 8)
-	write := func(i int) {
-		dev.Write(word, uint64(rng.Intn(pages))*uint64(cfg.PageSize))
-		if i%8 == 7 {
-			dev.Idle(20 * time.Microsecond)
-		}
+	for _, frames := range []int{512, 2048, 8192} {
+		b.Run(fmt.Sprintf("buffer%d", frames), func(b *testing.B) {
+			cfg := envy.SmallConfig()
+			cfg.ParallelFlush, cfg.HostQueueDepth = 8, 8
+			cfg.BufferPages = frames
+			dev, pages := agedDevice(b, cfg)
+			defer dev.Close()
+			rng := sim.NewRNG(1)
+			word := make([]byte, 8)
+			write := func(i int) {
+				dev.Write(word, uint64(rng.Intn(pages))*uint64(cfg.PageSize))
+				if i%8 == 7 {
+					dev.Idle(20 * time.Microsecond)
+				}
+			}
+			for i := 0; i < 4*cfg.BufferPages; i++ {
+				write(i)
+			}
+			dev.ResetStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				write(i)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(dev.Stats().Flushes)/float64(b.N), "flushes/op")
+		})
 	}
-	for i := 0; i < 4*cfg.BufferPages; i++ {
-		write(i)
-	}
-	dev.ResetStats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		write(i)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(dev.Stats().Flushes)/float64(b.N), "flushes/op")
 }

@@ -498,6 +498,12 @@ type Request struct {
 	// must not call back into the Device.
 	OnComplete func(*Request)
 
+	// Owner is an opaque back-pointer for a layer that embeds the
+	// request in its own type: one static OnComplete func recovers the
+	// owner from it instead of allocating a closure per request. The
+	// device never reads it.
+	Owner any
+
 	// Completion-filled fields, valid once Done is closed: timestamps on
 	// the simulated clock (offsets from device start), the sojourn
 	// latency (Completion − Arrival, queueing and stalls included), the

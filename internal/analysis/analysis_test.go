@@ -215,6 +215,7 @@ func TestFlashstate(t *testing.T) {
 	runFixture(t, analysis.Flashstate, "envy/internal/flash")     // owner mutating its own state: clean
 	runFixture(t, analysis.Flashstate, "envy/internal/switcher")  // reads only: clean
 	runFixture(t, analysis.Flashstate, "envy/internal/pagetable") // owner of Table and DiffDirectory: clean
+	runFixture(t, analysis.Flashstate, "envy/internal/sram")      // owner of the buffer's flush transitions: clean
 }
 
 func TestPanicpolicy(t *testing.T) {
@@ -246,7 +247,7 @@ func TestBanklock(t *testing.T) {
 func TestLanepurity(t *testing.T) {
 	// The sched fixture's effect facts must be in the store before the
 	// lane entries in the core fixture are checked.
-	runFixtureFacts(t, analysis.Lanepurity, []string{"envy/internal/sched", "envy/internal/pagetable"}, "envy/internal/core")
+	runFixtureFacts(t, analysis.Lanepurity, []string{"envy/internal/sched", "envy/internal/pagetable", "envy/internal/sram"}, "envy/internal/core")
 	runFixture(t, analysis.Lanepurity, "envy/internal/sched")     // writes, but no lane entries: clean
 	runFixture(t, analysis.Lanepurity, "envy/internal/pagetable") // shared-type writes, but no lane entries: clean
 }

@@ -16,13 +16,16 @@ var Flashstate = &Analyzer{
 	Name: "flashstate",
 	Doc: "confine flash-array and page-table mutation to the owning layers\n\n" +
 		"Program/Invalidate/Erase on *flash.Array, MapFlash/MapSRAM/\n" +
-		"Unmap on *pagetable.Table, and the chain mutators on\n" +
-		"*pagetable.DiffDirectory change state that the whole-device\n" +
-		"invariants are written against. Only internal/flash,\n" +
-		"internal/pagetable, internal/core, internal/cleaner, and\n" +
-		"internal/maptier (which owns a private translation array) may\n" +
-		"call them; calls from any other package are flagged. Reads (State,\n" +
-		"Owner, Lookup) and the MMU translation cache are unrestricted.",
+		"Unmap on *pagetable.Table, the chain mutators on\n" +
+		"*pagetable.DiffDirectory, and the flush transitions\n" +
+		"(BeginFlush/AbortFlush) on *sram.Buffer change state that the\n" +
+		"whole-device invariants are written against. Only internal/flash,\n" +
+		"internal/pagetable, internal/sram, internal/core,\n" +
+		"internal/cleaner, and internal/maptier (which owns a private\n" +
+		"translation array) may call them; calls from any other package\n" +
+		"are flagged. Reads (State, Owner, Lookup), filling and emptying a\n" +
+		"buffer (Insert, Remove) and the MMU translation cache are\n" +
+		"unrestricted.",
 	Run: runFlashstate,
 }
 
@@ -34,6 +37,7 @@ var Flashstate = &Analyzer{
 var stateOwners = map[string]bool{
 	"envy/internal/flash":     true,
 	"envy/internal/pagetable": true,
+	"envy/internal/sram":      true,
 	"envy/internal/core":      true,
 	"envy/internal/cleaner":   true,
 	"envy/internal/maptier":   true,
@@ -65,6 +69,14 @@ var guardedMethods = map[string]map[string]bool{
 		"Drop":         true,
 		"Rebase":       true,
 		"RelocateUnit": true,
+	},
+	// The write buffer's flush transitions: which frames are mid-flush
+	// decides membership in the flush-candidate index (DESIGN.md §18)
+	// and must agree with the controller's flush reservations. Insert
+	// and Remove stay open — layer probes fill and empty a bare buffer.
+	"envy/internal/sram.Buffer": {
+		"BeginFlush": true,
+		"AbortFlush": true,
 	},
 }
 
@@ -100,7 +112,7 @@ func runFlashstate(pass *Pass) error {
 			}
 			key := named.Obj().Pkg().Path() + "." + named.Obj().Name()
 			if guardedMethods[key][fn.Name()] {
-				pass.Reportf(call.Pos(), "flashstate: (*%s.%s).%s mutates guarded state from package %s; only the owning layers (flash, pagetable, core, cleaner, maptier) may, everyone else goes through the device API",
+				pass.Reportf(call.Pos(), "flashstate: (*%s.%s).%s mutates guarded state from package %s; only the owning layers (flash, pagetable, sram, core, cleaner, maptier) may, everyone else goes through the device API",
 					named.Obj().Pkg().Name(), named.Obj().Name(), fn.Name(), pass.Pkg.Path())
 			}
 			return true

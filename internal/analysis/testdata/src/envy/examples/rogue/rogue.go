@@ -5,6 +5,7 @@ package rogue
 import (
 	"envy/internal/flash"
 	"envy/internal/pagetable"
+	"envy/internal/sram"
 )
 
 // Meddle mutates the flash array and page table directly.
@@ -37,4 +38,18 @@ func MeddleDiff(dd *pagetable.DiffDirectory) {
 	_ = dd.UnitCount()
 
 	dd.Rebase(0, 11, 9) //envyvet:allow flashstate
+}
+
+// MeddleBuffer moves frames in and out of the flush candidates from
+// outside the owning layers.
+func MeddleBuffer(b *sram.Buffer) {
+	f := b.Insert(0, 0, nil) // harnesses may fill and empty a buffer
+	b.BeginFlush(f)          // want `flashstate: \(\*sram\.Buffer\)\.BeginFlush mutates guarded state`
+	b.AbortFlush(f)          // want `flashstate: \(\*sram\.Buffer\)\.AbortFlush`
+
+	_ = f.Flushing() // reads are unrestricted
+	_ = b.Oldest()
+	b.Remove(f)
+
+	b.BeginFlush(f) //envyvet:allow flashstate
 }

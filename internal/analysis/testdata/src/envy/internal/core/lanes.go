@@ -10,6 +10,7 @@ import (
 
 	"envy/internal/pagetable"
 	"envy/internal/sched"
+	"envy/internal/sram"
 	"envy/internal/wallhelp"
 )
 
@@ -21,6 +22,7 @@ type lane struct {
 	hits int
 	sc   *sched.Scheduler
 	dd   *pagetable.DiffDirectory
+	buf  *sram.Buffer
 }
 
 // localOnly writes lane-local fields. Clean.
@@ -57,6 +59,17 @@ func (ln *lane) sharedStruct() {
 // the serial phases.
 func (ln *lane) chainAppend() {
 	ln.dd.Append(1, pagetable.DiffLoc{}) // want `lanepurity: write to shared envy/internal/pagetable\.DiffDirectory state at diff\.go:\d+, reachable from lane entry lane\.chainAppend via envy/internal/pagetable\.DiffDirectory\.Append`
+}
+
+// startFlush takes a frame out of the flush candidates from a lane:
+// the buffer's candidate index is shared with the flush machinery, so
+// flush transitions belong in the serial phases. Reading a frame's
+// flush state is what a lane write does before marking it Dirtied.
+func (ln *lane) startFlush(f *sram.Frame) {
+	if f.Flushing() {
+		return
+	}
+	ln.buf.BeginFlush(f) // want `lanepurity: write to shared envy/internal/sram\.Buffer state at sram\.go:\d+, reachable from lane entry lane\.startFlush via envy/internal/sram\.Buffer\.BeginFlush`
 }
 
 // merge is the serial-phase helper: the same write is legal outside

@@ -115,13 +115,35 @@ type Request struct {
 	Latency       time.Duration
 	Err           error
 
-	inner *envy.Request
-	done  chan struct{}
+	// inner is the member-level request, held by value and completed
+	// through completeMember via its Owner back-pointer; its done
+	// channel is the request's own. c is the tier the request was
+	// submitted to, which doubles as the single-use marker. local is
+	// the (closed) done channel of a request the tier completed itself
+	// because its member was down, and nil for every other request.
+	inner envy.Request
+	c     *Cluster
+	local chan struct{}
 }
 
 // Done returns a channel closed when the request completes; nil
 // before Submit.
-func (r *Request) Done() <-chan struct{} { return r.done }
+func (r *Request) Done() <-chan struct{} {
+	if r.local != nil {
+		return r.local
+	}
+	return r.inner.Done()
+}
+
+// submitScratch is SubmitAll's grouping workspace: the accepted
+// requests per member, the members in first-appearance order, and the
+// member-level batch. Instances cycle through Cluster.free so that
+// concurrent callers each get their own.
+type submitScratch struct {
+	groups [][]*Request // indexed by member
+	order  []int
+	inners []*envy.Request
+}
 
 // shardState is the per-member routing state, guarded by Cluster.mu.
 type shardState struct {
@@ -148,7 +170,8 @@ type Cluster struct {
 
 	mu     sync.Mutex
 	shards []shardState
-	lat    stats.Latency // cluster-observed sojourn latency, all members
+	lat    stats.Latency    // cluster-observed sojourn latency, all members
+	free   []*submitScratch // idle SubmitAll workspaces
 }
 
 // New builds a cluster of cfg.Members fresh devices and its placement
@@ -217,7 +240,7 @@ func (c *Cluster) Device(i int) *envy.Device { return c.members[i] }
 
 // route validates r's address range and returns its directory entry.
 func (c *Cluster) route(r *Request) (route, error) {
-	if r.inner != nil || r.done != nil {
+	if r.c != nil {
 		return route{}, fmt.Errorf("cluster: Request resubmitted; requests are single-use")
 	}
 	if len(r.Data) == 0 {
@@ -236,16 +259,17 @@ func (c *Cluster) route(r *Request) (route, error) {
 }
 
 // prepare routes r, applies the down-shard fast path and the
-// back-pressure probe, and builds the member-level request. It returns
-// (nil, nil) when r was completed locally (down shard), the inner
-// request when r should be submitted, or a routing error.
-func (c *Cluster) prepare(r *Request) (*envy.Request, error) {
+// back-pressure probe, and builds the member-level request. It reports
+// whether r should be submitted to its member: false with a nil error
+// means r was completed locally (down shard).
+func (c *Cluster) prepare(r *Request) (submit bool, err error) {
 	rt, err := c.route(r)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	shard := int(rt.member)
 	r.Shard = shard
+	r.c = c
 
 	c.mu.Lock()
 	down := c.shards[shard].down
@@ -257,43 +281,47 @@ func (c *Cluster) prepare(r *Request) (*envy.Request, error) {
 	c.mu.Unlock()
 	if down {
 		r.Err = &ShardDownError{Shard: shard, Err: envy.ErrCrashed}
-		r.done = make(chan struct{})
+		r.local = make(chan struct{})
 		if r.OnComplete != nil {
 			r.OnComplete(r)
 		}
-		close(r.done)
-		return nil, nil
+		close(r.local)
+		return false, nil
 	}
 
 	localAddr := uint64(rt.local)*uint64(c.pageSize) + r.Addr%uint64(c.pageSize)
-	inner := &envy.Request{Write: r.Write, Addr: localAddr, Data: r.Data}
-	inner.OnComplete = func(ir *envy.Request) {
-		r.Arrival = ir.Arrival
-		r.Start = ir.Start
-		r.Completion = ir.Completion
-		r.Latency = ir.Latency
-		r.Err = ir.Err
-		if r.Err != nil && (errors.Is(r.Err, envy.ErrCrashed) || errors.Is(r.Err, envy.ErrPowerFailure)) {
-			r.Err = &ShardDownError{Shard: shard, Err: ir.Err}
-		}
-		c.mu.Lock()
-		s := &c.shards[shard]
-		s.completed++
-		if r.Err == nil {
-			s.acked++
-			c.lat.Record(sim.Duration(r.Latency))
-		} else {
-			s.failed++
-		}
-		c.mu.Unlock()
-		if r.OnComplete != nil {
-			r.OnComplete(r)
-		}
-		close(r.done)
+	r.inner = envy.Request{Write: r.Write, Addr: localAddr, Data: r.Data, OnComplete: completeMember, Owner: r}
+	return true, nil
+}
+
+// completeMember is every Request's member-level completion callback:
+// it copies the outcome into the public fields, accounts it to the
+// shard and runs the caller's OnComplete. The member closes the done
+// channel, which the request shares, as soon as this returns.
+func completeMember(ir *envy.Request) {
+	r := ir.Owner.(*Request)
+	c, shard := r.c, r.Shard
+	r.Arrival = ir.Arrival
+	r.Start = ir.Start
+	r.Completion = ir.Completion
+	r.Latency = ir.Latency
+	r.Err = ir.Err
+	if r.Err != nil && (errors.Is(r.Err, envy.ErrCrashed) || errors.Is(r.Err, envy.ErrPowerFailure)) {
+		r.Err = &ShardDownError{Shard: shard, Err: ir.Err}
 	}
-	r.inner = inner
-	r.done = make(chan struct{})
-	return inner, nil
+	c.mu.Lock()
+	s := &c.shards[shard]
+	s.completed++
+	if r.Err == nil {
+		s.acked++
+		c.lat.Record(sim.Duration(r.Latency))
+	} else {
+		s.failed++
+	}
+	c.mu.Unlock()
+	if r.OnComplete != nil {
+		r.OnComplete(r)
+	}
 }
 
 // probe applies the back-pressure signal to a group of requests bound
@@ -304,7 +332,7 @@ func (c *Cluster) prepare(r *Request) (*envy.Request, error) {
 // (block in simulated time). The probe runs before the member call:
 // the engine drains what it can during SubmitAll, so probing
 // afterwards would always read an empty queue.
-func (c *Cluster) probe(shard int, group []*Request) {
+func (c *Cluster) probe(shard int, group ...*Request) {
 	m := c.members[shard]
 	out, depth := m.Outstanding(), m.EffectiveDepth()
 	for i, r := range group {
@@ -332,16 +360,16 @@ func (c *Cluster) bump(r *Request) {
 // returned). Completion is otherwise observed through Wait, Done, or
 // OnComplete.
 func (c *Cluster) Submit(r *Request) error {
-	inner, err := c.prepare(r)
+	submit, err := c.prepare(r)
 	if err != nil {
 		return err
 	}
-	if inner == nil {
+	if !submit {
 		return r.Err // down shard: completed locally
 	}
-	c.probe(r.Shard, []*Request{r})
+	c.probe(r.Shard, r)
 	c.bump(r)
-	if err := c.members[r.Shard].Submit(inner); err != nil {
+	if err := c.members[r.Shard].Submit(&r.inner); err != nil {
 		// Unreachable after route(): member validation is a subset of
 		// cluster validation. Surface it without completing r.
 		return err
@@ -357,32 +385,32 @@ func (c *Cluster) Submit(r *Request) error {
 // Requests routed to down members complete immediately with
 // *ShardDownError and do not abort the batch.
 func (c *Cluster) SubmitAll(rs ...*Request) error {
+	sc := c.acquire()
+	defer c.release(sc)
 	// Group accepted requests per member, preserving submission order
 	// within each group (first-appearance member order).
-	groups := make(map[int][]*Request)
-	var order []int
 	for _, r := range rs {
-		inner, err := c.prepare(r)
+		submit, err := c.prepare(r)
 		if err != nil {
 			return err
 		}
-		if inner == nil {
+		if !submit {
 			continue
 		}
-		if _, ok := groups[r.Shard]; !ok {
-			order = append(order, r.Shard)
+		if len(sc.groups[r.Shard]) == 0 {
+			sc.order = append(sc.order, r.Shard)
 		}
-		groups[r.Shard] = append(groups[r.Shard], r)
+		sc.groups[r.Shard] = append(sc.groups[r.Shard], r)
 	}
-	for _, shard := range order {
-		group := groups[shard]
-		c.probe(shard, group)
-		inners := make([]*envy.Request, len(group))
-		for i, r := range group {
-			inners[i] = r.inner
+	for _, shard := range sc.order {
+		group := sc.groups[shard]
+		c.probe(shard, group...)
+		sc.inners = sc.inners[:0]
+		for _, r := range group {
+			sc.inners = append(sc.inners, &r.inner)
 			c.bump(r)
 		}
-		if err := c.members[shard].SubmitAll(inners...); err != nil {
+		if err := c.members[shard].SubmitAll(sc.inners...); err != nil {
 			return err
 		}
 		c.sweep(shard)
@@ -390,16 +418,42 @@ func (c *Cluster) SubmitAll(rs ...*Request) error {
 	return nil
 }
 
+// acquire takes an idle SubmitAll workspace, or makes one.
+func (c *Cluster) acquire() *submitScratch {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.free); n > 0 {
+		sc := c.free[n-1]
+		c.free = c.free[:n-1]
+		return sc
+	}
+	return &submitScratch{groups: make([][]*Request, len(c.members))}
+}
+
+// release empties sc — dropping its request pointers, keeping its
+// capacity — and makes it available to the next SubmitAll.
+func (c *Cluster) release(sc *submitScratch) {
+	for _, shard := range sc.order {
+		clear(sc.groups[shard])
+		sc.groups[shard] = sc.groups[shard][:0]
+	}
+	clear(sc.inners[:cap(sc.inners)])
+	sc.order, sc.inners = sc.order[:0], sc.inners[:0]
+	c.mu.Lock()
+	c.free = append(c.free, sc)
+	c.mu.Unlock()
+}
+
 // Wait drives the owning member until r completes and returns its
 // outcome (the *ShardDownError form for crash failures).
 func (c *Cluster) Wait(r *Request) error {
-	if r.inner == nil {
-		if r.done != nil {
-			return r.Err // completed locally: routed to a down member
-		}
+	if r.local != nil {
+		return r.Err // completed locally: routed to a down member
+	}
+	if r.c == nil {
 		return fmt.Errorf("cluster: Wait on a request that was never submitted")
 	}
-	err := c.members[r.Shard].Wait(r.inner)
+	err := c.members[r.Shard].Wait(&r.inner)
 	c.sweep(r.Shard)
 	if err != nil {
 		return r.Err // the wrapped form

@@ -402,3 +402,35 @@ func TestClusterDiurnalScheduleRuns(t *testing.T) {
 		t.Errorf("diurnal run: %+v", res)
 	}
 }
+
+// TestClusterSubmitAllAllocs bounds what the tier adds to a batch of
+// eight reads spread over four members. Each request is its caller's
+// one allocation and its done channel is the member's; the tier itself
+// — grouping, the member-level requests, the completion callbacks —
+// allocates nothing per request, leaving the members' per-group batch
+// slice as the only other cost.
+func TestClusterSubmitAllAllocs(t *testing.T) {
+	c := testCluster(t, 4)
+	var buf [8][8]byte
+	batch := make([]*Request, 8)
+	round := func() {
+		for i := range batch {
+			batch[i] = &Request{Addr: uint64(i*977%c.Pages()) * uint64(c.PageSize()), Data: buf[i][:]}
+		}
+		if err := c.SubmitAll(batch...); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range batch {
+			if err := c.Wait(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round() // sizes the pooled scratch
+	perRequest := testing.AllocsPerRun(200, round) / float64(len(batch))
+	// 2 per request (the Request, its done channel) + at most one batch
+	// slice per member touched, 4 over 8 requests.
+	if perRequest > 2.5 {
+		t.Errorf("SubmitAll+Wait allocates %.2f times per request, want at most 2.5", perRequest)
+	}
+}

@@ -149,7 +149,7 @@ func RunLoad(c *Cluster, l Load) (LoadResult, error) {
 				model[page] = payload
 			}
 		default:
-			if _, isDown := r.Err.(*ShardDownError); isDown && r.inner == nil {
+			if _, isDown := r.Err.(*ShardDownError); isDown && r.local != nil {
 				res.Rejected++
 			} else {
 				res.Failed++

@@ -93,25 +93,42 @@ func (d *Device) expandPending() bool {
 func (d *Device) expandFlush() bool { return d.policy.expandOne(d) }
 
 // selectFlushFrame picks the next frame to flush — the selection step
-// both write-back policies consult: the bank-aware pick when flush
-// programs may overlap (§6), with plain FIFO (Oldest) as the choice at
-// depth 1 and the fallback when every bank-compatible candidate
-// collides (progress beats placement).
+// both write-back policies consult. When flush programs may overlap
+// (§6) it is the oldest flushable frame whose home the placement test
+// accepts: with the hybrid policy each partition keeps its own active
+// segment, so a buffer holding a mix of homes can feed every bank at
+// once — this is where the per-bank queue overlap actually comes from.
+// The buffer's flush-candidate index answers that from one list head
+// per home, judging each home at most once. Plain FIFO (Oldest) is the
+// choice at depth 1 and the fallback when every home collides or is
+// unpredictable (progress beats placement).
 func (d *Device) selectFlushFrame() *sram.Frame {
-	var frame *sram.Frame
 	if d.cfg.ParallelFlush > 1 {
-		frame = d.pickFlushFrame()
+		if frame := d.buf.OldestWhere(d.flushHomeFree); frame != nil {
+			return frame
+		}
 	}
-	if frame == nil {
-		frame = d.buf.Oldest()
+	return d.buf.Oldest()
+}
+
+// flushHomeFree is the placement test of the bank-aware pick: a flush
+// of a page from home would land on a bank that no in-flight flush is
+// already programming and no running operation occupies. It reads the
+// engine and the claims without changing them, so the verdict holds
+// for every frame of the home within one pick.
+func (d *Device) flushHomeFree(home int) bool {
+	seg := d.eng.PeekFlushSegment(home)
+	if seg < 0 {
+		return false
 	}
-	return frame
+	bank := d.cfg.Geometry.BankOf(seg)
+	return d.inflightBank[bank] == 0 && !(d.hostConc == 1 && d.banks.Busy(bank))
 }
 
 // expandFullPage programs one whole buffered page — the full-page
 // policy's expansion, and the differential policy's promotion path.
 func (d *Device) expandFullPage(frame *sram.Frame) bool {
-	frame.Flushing = true
+	d.buf.BeginFlush(frame)
 	lpn := frame.Logical
 	var ppn uint32
 	var work []cleaner.Step
@@ -195,43 +212,6 @@ func (d *Device) bankOccupied(bank, depth int) bool {
 	return d.banks.Busy(bank)
 }
 
-// pickFlushFrame chooses the next frame to flush when bank programs
-// may overlap (§6): the oldest frame whose predicted flush target sits
-// on a bank that no in-flight flush is already programming and no
-// running operation occupies. With the hybrid policy each partition
-// keeps its own active segment, so a buffer holding a mix of homes can
-// feed every bank at once — this is where the per-bank queue overlap
-// actually comes from. Returns nil when every candidate collides or is
-// unpredictable; the caller falls back to plain FIFO (progress beats
-// placement).
-func (d *Device) pickFlushFrame() *sram.Frame {
-	// A frame's verdict depends only on its home, and nothing below
-	// mutates the engine or the claims, so each home is judged once per
-	// pick: 0 not yet judged, +1 acceptable, -1 rejected.
-	clear(d.pickHome)
-	var found *sram.Frame
-	d.buf.Frames(func(f *sram.Frame) {
-		if found != nil || f.Flushing || f.Home < 0 || f.Home >= len(d.pickHome) {
-			return
-		}
-		v := d.pickHome[f.Home]
-		if v == 0 {
-			v = -1
-			if seg := d.eng.PeekFlushSegment(f.Home); seg >= 0 {
-				bank := d.cfg.Geometry.BankOf(seg)
-				if d.inflightBank[bank] == 0 && !(d.hostConc == 1 && d.banks.Busy(bank)) {
-					v = 1
-				}
-			}
-			d.pickHome[f.Home] = v
-		}
-		if v > 0 {
-			found = f
-		}
-	})
-	return found
-}
-
 // enqueueStep converts one unit of cleaner work into a scheduler
 // operation on the bank that owns the touched segment. Wear-tagged
 // steps are accounted as wear-swap operations; the controller-time
@@ -279,7 +259,7 @@ func (d *Device) finishFlush(lpn uint32) {
 	delete(d.flushPPN, lpn)
 	d.inflightOn(ppn, -1)
 	frame := d.buf.Lookup(lpn)
-	if frame == nil || !frame.Flushing {
+	if frame == nil || !frame.Flushing() {
 		panic(fmt.Sprintf("core: finishing flush of page %d with no flushing frame", lpn))
 	}
 	if frame.Dirtied {

@@ -328,10 +328,6 @@ type Device struct {
 	// added, removed or relocated; CheckInflightBanks recounts it.
 	inflightBank []int
 
-	// pickHome is pickFlushFrame's per-pick memo of each home
-	// partition's placement verdict, reused across picks.
-	pickHome []int8
-
 	// policy is the pluggable write-back expansion (Config.FlushPolicy).
 	policy flushPolicy
 
@@ -401,7 +397,6 @@ func New(cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.pickHome = make([]int8, d.eng.Partitions())
 	d.policy = fullPagePolicy{}
 	if cfg.FlushPolicy == DiffFlush {
 		d.policy = diffPolicy{}
@@ -1216,7 +1211,7 @@ func (d *Device) writeRun(page uint32, off int, p []byte) (int, sim.Duration) {
 	} else {
 		d.counters.BufferHits += int64(n)
 		d.captureShadow(page, frame)
-		if frame.Flushing {
+		if frame.Flushing() {
 			// The in-flight Flash copy is stale the moment this write
 			// lands; it will be invalidated when the program finishes.
 			frame.Dirtied = true
@@ -1277,15 +1272,30 @@ func (d *Device) copyOnWrite(page uint32) *sram.Frame {
 		panic(&fault.Crash{Point: fault.PointRetarget, LPN: page})
 	}
 	if hasFlash {
+		// Under the differential policy a page's entry can be pinned to
+		// an open transaction's shadow base (its chain must survive for
+		// rollback) while this copy is a full page the transaction
+		// flushed since. Such a copy cannot become a second diff base.
+		pinned := false
 		if d.dir != nil {
-			// Differential policy: keep the Flash copy alive as the
-			// page's diff base instead of invalidating it — the next
-			// flush may program just a diff record against it. The
-			// directory takes the liveness claim unless a transaction
-			// shadow already did.
+			e := d.dir.Entry(page)
+			pinned = e != nil && e.Base != loc.PPN
+		}
+		switch {
+		case d.dir != nil && !pinned:
+			// Keep the Flash copy alive as the page's diff base instead
+			// of invalidating it — the next flush may program just a diff
+			// record against it. The directory takes the liveness claim
+			// unless a transaction shadow already did.
 			d.dir.Keep(page, loc.PPN, invalidate)
-		} else if invalidate {
+		case invalidate:
 			d.arr.Invalidate(loc.PPN)
+		}
+		if pinned {
+			// Wholly dirty: once a commit hands the shadow base back to
+			// the directory, no record may be diffed against that older
+			// image.
+			frame.MarkDirty(0, d.cfg.Geometry.PageSize)
 		}
 	}
 	d.counters.CopyOnWrites++

@@ -198,14 +198,17 @@ func (d *Device) expandDiff(first *sram.Frame) bool {
 	}
 	members := []*sram.Frame{first}
 	used := pagetable.DiffUnitHeader + need(first)
-	d.buf.Frames(func(f *sram.Frame) {
-		if f == first || f.Flushing || !d.diffEligible(f) {
-			return
+	d.buf.Frames(func(f *sram.Frame) bool {
+		if f == first || f.Flushing() || !d.diffEligible(f) {
+			return true
 		}
 		if n := need(f); used+n <= ps {
 			members = append(members, f)
 			used += n
 		}
+		// A record is a header plus at least one byte: once the unit
+		// cannot hold even that, no later frame can join it.
+		return used+pagetable.DiffRecHeader < ps
 	})
 
 	var payload []byte
@@ -256,7 +259,7 @@ func (d *Device) expandDiff(first *sram.Frame) bool {
 	for i, f := range members {
 		locs[i].Unit = ppn
 		u.members[i] = diffMember{lpn: f.Logical, loc: locs[i]}
-		f.Flushing = true
+		d.buf.BeginFlush(f)
 	}
 	d.diffSeq++
 	seq := d.diffSeq
@@ -300,7 +303,7 @@ func (d *Device) finishDiffFlush(seq uint64) {
 	live := 0
 	for _, m := range u.members {
 		frame := d.buf.Lookup(m.lpn)
-		if frame == nil || !frame.Flushing {
+		if frame == nil || !frame.Flushing() {
 			panic(fmt.Sprintf("core: finishing diff record of page %d with no flushing frame", m.lpn))
 		}
 		if frame.Dirtied {

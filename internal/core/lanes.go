@@ -316,7 +316,7 @@ func (ln *lane) write(addr uint64, p []byte) error {
 		panic(fmt.Sprintf("core: lane write to page %d missed the buffer; footprint admitted a copy-on-write", page))
 	}
 	ln.counters.BufferHits++
-	if frame.Flushing {
+	if frame.Flushing() {
 		// The in-flight Flash copy is stale the moment this write
 		// lands; it will be invalidated when the program finishes.
 		frame.Dirtied = true

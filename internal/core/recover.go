@@ -50,8 +50,7 @@ func (d *Device) RecoverFlushes() (discarded int, err error) {
 		default:
 			return discarded, fmt.Errorf("core: flush reservation for page %d targets %v page %d", lpn, st, ppn)
 		}
-		frame.Flushing = false
-		frame.Dirtied = false
+		d.buf.AbortFlush(frame)
 		discarded++
 	}
 	return discarded, nil
@@ -82,8 +81,7 @@ func (d *Device) RecoverDiffFlushes() (discarded, dropped int, err error) {
 			if frame == nil {
 				return discarded, dropped, fmt.Errorf("core: diff record for page %d has no buffered frame", m.lpn)
 			}
-			frame.Flushing = false
-			frame.Dirtied = false
+			d.buf.AbortFlush(frame)
 		}
 		switch st := d.arr.State(u.ppn); st {
 		case flash.Torn:
@@ -129,12 +127,12 @@ func (d *Device) RecoverDiffFlushes() (discarded, dropped int, err error) {
 // Returns how many frames were repaired.
 func (d *Device) ClearStrayFlushing() int {
 	cleared := 0
-	d.buf.Frames(func(f *sram.Frame) {
-		if _, reserved := d.flushPPN[f.Logical]; f.Flushing && !reserved {
-			f.Flushing = false
-			f.Dirtied = false
+	d.buf.Frames(func(f *sram.Frame) bool {
+		if _, reserved := d.flushPPN[f.Logical]; f.Flushing() && !reserved {
+			d.buf.AbortFlush(f)
 			cleared++
 		}
+		return true
 	})
 	return cleared
 }

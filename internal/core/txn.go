@@ -142,7 +142,7 @@ func (d *Device) Rollback() (err error) {
 // the Flash copy — except keep, the shadow at keep.
 func (d *Device) discardCurrent(lpn uint32, keep uint32) {
 	if frame := d.buf.Lookup(lpn); frame != nil {
-		if frame.Flushing {
+		if frame.Flushing() {
 			ppn := d.flushPPN[lpn]
 			d.arr.Invalidate(ppn)
 			delete(d.flushPPN, lpn)
@@ -150,10 +150,16 @@ func (d *Device) discardCurrent(lpn uint32, keep uint32) {
 			if !d.sched.CancelDone(lpn) {
 				panic(fmt.Sprintf("core: cancelling flush of page %d with no scheduled program", lpn))
 			}
-			frame.Flushing = false
-			frame.Dirtied = false
 		}
 		d.buf.Remove(frame)
+		if d.dir != nil {
+			// A base the directory kept for this frame's next diff is a
+			// copy the transaction itself flushed; it dies with the
+			// frame. (A base the shadow claims stays: KeptBase is false.)
+			if e := d.dir.Entry(lpn); e != nil && e.KeptBase {
+				d.dropEntry(lpn)
+			}
+		}
 		return
 	}
 	if loc, ok := d.table.LookupOwned(lpn); ok && !loc.InSRAM && loc.PPN != keep {
@@ -177,7 +183,7 @@ func (d *Device) restorePreimage(lpn uint32, pre []byte) {
 		// must cover it, so a later differential flush cannot program a
 		// record that misses reverted bytes.
 		frame.MarkDirty(0, d.cfg.Geometry.PageSize)
-		if frame.Flushing {
+		if frame.Flushing() {
 			frame.Dirtied = true
 		}
 		return
@@ -402,11 +408,12 @@ func (d *Device) CheckConsistency() error {
 		}
 	}
 	var bad error
-	d.buf.Frames(func(f *sram.Frame) {
+	d.buf.Frames(func(f *sram.Frame) bool {
 		loc, ok := d.table.LookupOwned(f.Logical)
 		if !ok || !loc.InSRAM {
 			bad = fmt.Errorf("page %d is buffered but its table entry is %+v (mapped=%v)", f.Logical, loc, ok)
 		}
+		return bad == nil
 	})
 	return bad
 }

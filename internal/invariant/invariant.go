@@ -19,7 +19,9 @@
 //   - SRAM buffer consistency (§3.2): a logical page is buffered if and
 //     only if its page-table entry points into SRAM, and a frame marked
 //     Flushing has exactly one in-flight flush reservation recording
-//     where its Flash copy is being programmed.
+//     where its Flash copy is being programmed. The buffer's per-home
+//     flush-candidate lists are recounted against the FIFO: each holds
+//     exactly its home's non-Flushing frames, oldest first.
 //
 //   - Wear conservation and bounded spread (§4.3): per-segment erase
 //     counters sum to the array's independent total-erase tally, and
@@ -311,10 +313,7 @@ func checkBuffer(d *core.Device) error {
 	// target or a diff-unit membership, never both.
 	var err error
 	flushing := 0
-	buf.Frames(func(f *sram.Frame) {
-		if err != nil {
-			return
-		}
+	buf.Frames(func(f *sram.Frame) bool {
 		loc, ok := table.Lookup(f.Logical)
 		switch {
 		case !ok:
@@ -323,24 +322,25 @@ func checkBuffer(d *core.Device) error {
 			err = fmt.Errorf("invariant: buffered page %d maps to flash page %d, not SRAM", f.Logical, loc.PPN)
 		}
 		if err != nil {
-			return
+			return false
 		}
 		_, reservedFull := d.FlushTarget(f.Logical)
 		reserved := reservedFull || inUnit[f.Logical]
 		switch {
 		case reservedFull && inUnit[f.Logical]:
 			err = fmt.Errorf("invariant: page %d has both a full-page flush reservation and a diff-unit record in flight", f.Logical)
-		case f.Flushing && !reserved:
+		case f.Flushing() && !reserved:
 			err = fmt.Errorf("invariant: page %d is marked Flushing but has no flush reservation", f.Logical)
-		case !f.Flushing && reserved:
+		case !f.Flushing() && reserved:
 			err = fmt.Errorf("invariant: page %d has a flush reservation but is not marked Flushing", f.Logical)
 		}
-		if f.Flushing {
+		if f.Flushing() {
 			flushing++
 		}
-		if f.Dirtied && !f.Flushing {
+		if f.Dirtied && !f.Flushing() {
 			err = fmt.Errorf("invariant: page %d is Dirtied but not Flushing", f.Logical)
 		}
+		return err == nil
 	})
 	if err != nil {
 		return err
@@ -368,6 +368,12 @@ func checkBuffer(d *core.Device) error {
 	if count+diffMembers != flushing {
 		return fmt.Errorf("invariant: %d flush reservations and %d diff-unit records but %d Flushing frames",
 			count, diffMembers, flushing)
+	}
+
+	// Index side: the per-home flush-candidate lists are derived from
+	// the FIFO and the Flushing marks verified above; recount them.
+	if err := buf.CheckIndex(); err != nil {
+		return fmt.Errorf("invariant: flush-candidate index: %w", err)
 	}
 	return nil
 }

@@ -193,9 +193,23 @@ func TestCheckDeviceFires(t *testing.T) {
 				if f == nil {
 					t.Fatal("no buffered frame")
 				}
-				f.Flushing = true
+				d.Buffer().BeginFlush(f) //envyvet:allow flashstate
 			},
 			want: "no flush reservation",
+		},
+		{
+			// Home decides which candidate list a frame is linked into;
+			// moving it behind the buffer's back leaves the frame linked
+			// in a list that is no longer its own.
+			name: "flush-candidate list holds another home's frame",
+			corrupt: func(t *testing.T, d *core.Device) {
+				f := d.Buffer().Oldest()
+				if f == nil {
+					t.Fatal("no buffered frame")
+				}
+				f.Home++
+			},
+			want: "flush-candidate index",
 		},
 		{
 			name: "dirtied frame not flushing",

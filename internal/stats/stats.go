@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -27,25 +28,42 @@ type Latency struct {
 	buckets [128]int64 // bucket i covers [2^(i/4) ns ...), quarter-powers of two
 }
 
+// Quarter-octave thresholds in 1.63 fixed point: the smallest 64-bit
+// values at or above 2^(63+j/4) for j = 1, 2, 3. A positive d, shifted
+// left until its top bit is bit 63, has passed j quarter-powers of two
+// within its octave exactly when it reaches the j-th of them.
+const (
+	quarter1 = 0x9837f0518db8a970
+	quarter2 = 0xb504f333f9de6485
+	quarter3 = 0xd744fccad69d6af5
+)
+
+// bucketFor returns floor(4*log2(d)) clamped to the histogram — four
+// buckets per octave — in integer arithmetic: the octave is the bit
+// length, the quarter three compares against the thresholds above.
 func bucketFor(d sim.Duration) int {
 	if d <= 0 {
 		return 0
 	}
-	// 4 buckets per octave: index = floor(4*log2(d)).
-	i := int(4 * math.Log2(float64(d)))
-	if i < 0 {
-		i = 0
+	octave := bits.Len64(uint64(d)) - 1
+	if 4*octave >= len(Latency{}.buckets) {
+		return len(Latency{}.buckets) - 1
 	}
-	if i >= len(Latency{}.buckets) {
-		i = len(Latency{}.buckets) - 1
+	i := 4 * octave
+	switch m := uint64(d) << (63 - octave); {
+	case m >= quarter3:
+		i += 3
+	case m >= quarter2:
+		i += 2
+	case m >= quarter1:
+		i++
 	}
 	return i
 }
 
 // Record adds one sample. Successive samples tend to repeat (a device
 // access path produces a handful of distinct latencies), so the bucket
-// index is memoized: the floating-point log in bucketFor dominates the
-// lane hot path otherwise.
+// index is memoized.
 func (l *Latency) Record(d sim.Duration) { l.RecordN(d, 1) }
 
 // RecordN adds n samples of the same duration — exactly equivalent to

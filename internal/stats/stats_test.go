@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -178,5 +179,51 @@ func TestDistributionSummary(t *testing.T) {
 	}
 	if d.Count() != 8 {
 		t.Errorf("Count = %d", d.Count())
+	}
+}
+
+// floatBucketFor is the formula the integer bucketFor replaced:
+// floor(4*log2(d)) through math.Log2, clamped to the histogram.
+func floatBucketFor(d sim.Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	i := int(4 * math.Log2(float64(d)))
+	if i >= len(Latency{}.buckets) {
+		i = len(Latency{}.buckets) - 1
+	}
+	return i
+}
+
+// TestBucketForMatchesFloat: the integer bucketing must place every
+// duration exactly where the floating-point formula did, or recorded
+// percentiles would move.
+func TestBucketForMatchesFloat(t *testing.T) {
+	check := func(d sim.Duration) {
+		t.Helper()
+		if got, want := bucketFor(d), floatBucketFor(d); got != want {
+			t.Fatalf("bucketFor(%d) = %d, the float formula gives %d", d, got, want)
+		}
+	}
+	for d := sim.Duration(-1); d <= 1<<20; d++ {
+		check(d)
+	}
+	for k := 0; k <= 40; k++ {
+		p := sim.Duration(1) << k
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
+	check(math.MaxInt64)
+	// Either side of every quarter-octave boundary the histogram has.
+	for i := 1; i < len(Latency{}.buckets); i++ {
+		edge := sim.Duration(math.Exp2(float64(i) / 4))
+		for d := edge - 2; d <= edge+2; d++ {
+			check(d)
+		}
+	}
+	r := sim.NewRNG(14)
+	for n := 0; n < 1_000_000; n++ {
+		check(sim.Duration(r.Uint64() >> (24 + r.Intn(40))))
 	}
 }

@@ -209,11 +209,12 @@ func runSpanDifferential(t *testing.T, c spanCase, program []byte) (recoveries i
 			span.Idle(d)
 			word.Idle(d)
 		case 6:
-			if span.Crashed() || c.flush == DiffFlush {
-				// Transactions over chained diff bases trip a directory
-				// assertion ("kept base X but chain is against base Y") at
-				// the parent commit too, word at a time: a flush-policy
-				// bug outside this kernel, listed in ROADMAP.md.
+			if span.Crashed() || (c.flush == DiffFlush && c.mapTier) {
+				// DiffFlush over the two-tier table does not survive every
+				// crash (ROADMAP.md lists the combination), and with a
+				// transaction open the failed mount traps inside the
+				// rollback instead of returning the error the twins are
+				// compared on.
 				break
 			}
 			var spanErr, wordErr error
