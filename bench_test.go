@@ -291,34 +291,6 @@ func BenchmarkParallelFlush(b *testing.B) {
 	}
 }
 
-// BenchmarkBGParFlush measures the saturated background flood with
-// the worker pool off and on. ReportAllocs makes the scheduler's op
-// freelist visible: the flush/clean hot path recycles its operation
-// records, so allocs/op stays flat as the flood grows, and the pooled
-// variant shows the handoff cost the workers add on this machine.
-func BenchmarkBGParFlush(b *testing.B) {
-	for _, workers := range []int{0, experiments.BGParWorkers} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rig, err := experiments.BGParPrepare(workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rig.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var flushes int64
-			for i := 0; i < b.N; i++ {
-				ctr, err := rig.Drive(2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				flushes = ctr.Flushes
-			}
-			b.ReportMetric(float64(flushes), "flushes")
-		})
-	}
-}
-
 // BenchmarkAblationRedistribution measures the locality-gathering
 // redistribution ablation.
 func BenchmarkAblationRedistribution(b *testing.B) {
@@ -437,7 +409,6 @@ func agedDevice(b *testing.B, cfg envy.Config) (*envy.Device, int) {
 func BenchmarkPageWrite256(b *testing.B) {
 	cfg := envy.SmallConfig()
 	dev, pages := agedDevice(b, cfg)
-	defer dev.Close()
 	rng := sim.NewRNG(1)
 	dist := sim.Bimodal{HotData: 0.1, HotAccess: 0.9}
 	page := make([]byte, cfg.PageSize)
@@ -464,7 +435,6 @@ func BenchmarkTPCATransaction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer dev.Close()
 	bank, err := tpca.Setup(dev.Core(), tpca.Config{Branches: 2, AccountsPerTeller: 500, InitialBalance: 1000})
 	if err != nil {
 		b.Fatal(err)
@@ -500,7 +470,6 @@ func BenchmarkFlushPlacementPar8(b *testing.B) {
 			cfg.ParallelFlush, cfg.HostQueueDepth = 8, 8
 			cfg.BufferPages = frames
 			dev, pages := agedDevice(b, cfg)
-			defer dev.Close()
 			rng := sim.NewRNG(1)
 			word := make([]byte, 8)
 			write := func(i int) {

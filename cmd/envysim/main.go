@@ -6,9 +6,7 @@
 //
 //	envysim -rate 8000 -seconds 1 -branches 2 -accounts 500
 //	envysim -parallel 8 -depth 4 -rate 16000  # multi-outstanding hosts
-//	envysim -parallel 8 -depth 16 -lanes -rate 30000  # lock-decomposed parallel service
 //	envysim -parallel 8 -depth 16 -adaptive -rate 30000  # adaptive queue depth
-//	envysim -bgworkers 8 -rate 16000          # background payload copies on worker threads
 //	envysim -paper -rate 30000 -seconds 2     # Figure 12 scale, ~2.5 GB RAM
 //
 // With -cluster N the command instead drives the sharded service tier:
@@ -54,8 +52,6 @@ func main() {
 		policy    = flag.String("policy", "hybrid", "cleaning policy: hybrid, lg, fifo, greedy")
 		parallel  = flag.Int("parallel", 1, "concurrent bank programs (§6 extension)")
 		depth     = flag.Int("depth", 1, "outstanding host requests (1 = the paper's single-outstanding host)")
-		lanes     = flag.Bool("lanes", false, "lock-decomposed parallel host service: disjoint-footprint requests run on concurrent execution lanes")
-		bgworkers = flag.Int("bgworkers", 0, "background worker pool: run flush and cleaning payload copies on this many OS threads with per-bank lanes (0 = serial; results are bit-identical either way)")
 		adaptive  = flag.Bool("adaptive", false, "adapt the effective host queue depth to the observed suspension rate")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 		wearCheck = flag.Bool("wear", true, "enable 100-cycle wear leveling")
@@ -115,14 +111,6 @@ func main() {
 		cfg.Cleaning.WearThreshold = 100
 	}
 	cfg.ParallelFlush = *parallel
-	cfg.BGWorkers = *bgworkers
-	if *lanes {
-		// Four page-table shards per bank: shard locks are admission-time
-		// resources, not timed hardware, so finer sharding costs nothing on
-		// the simulated clock and admits more disjoint-footprint batches.
-		cfg.ParallelService = true
-		cfg.PageTableShards = 4 * cfg.Geometry.Banks
-	}
 	if *mapTier > 0 {
 		cfg.MapTier = &maptier.Params{CacheFrames: *mapTier}
 	}
@@ -140,7 +128,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer dev.Close()
 	fmt.Printf("device: %d MB flash, %d segments, %s cleaning, buffer %d pages (seed %d)\n",
 		cfg.Geometry.Capacity()>>20, cfg.Geometry.Segments, *policy, dev.Config().BufferPages, *seed)
 	flatBytes := dev.PageTable().SRAMBytes()
@@ -165,12 +152,9 @@ func main() {
 		os.Exit(2)
 	}
 	var dr *tpca.Driver
-	switch {
-	case *lanes:
-		dr = tpca.NewDriverParallel(bank, *depth)
-	case *adaptive:
+	if *adaptive {
 		dr = tpca.NewDriverAdaptive(bank, *depth)
-	default:
+	} else {
 		dr = tpca.NewDriverDepth(bank, *depth)
 	}
 	if _, err := dr.Run(*rate, sim.Duration(*warm*1e9)); err != nil {
@@ -201,18 +185,9 @@ func main() {
 			*depth, res.HostMeanDepth,
 			int64(res.HostP50), int64(res.HostP95), int64(res.HostP99), int64(res.HostMax))
 	}
-	if *lanes && res.HostBatches > 0 {
-		fmt.Printf("parallel service: %d batches, %d requests batched, max batch %d, clean/flush overlap %dns\n",
-			res.HostBatches, res.HostBatched, res.HostMaxBatch, int64(res.FlushCleanOverlap))
-	}
 	if *adaptive {
 		fmt.Printf("adaptive depth:   effective %d of %d (%d suspensions observed)\n",
 			res.HostEffectiveDepth, *depth, res.Suspensions)
-	}
-	if p := dev.Pool(); p != nil {
-		jobs, bytes, waits := p.Stats()
-		fmt.Printf("bg worker pool:   %d workers, %d payload jobs, %d B moved (%d lane joins blocked)\n",
-			p.Workers(), jobs, bytes, waits)
 	}
 	fmt.Printf("flush rate:       %.0f pages/s, cleaning cost %.2f\n", res.FlushPagesPerSec, res.CleaningCost)
 	b := res.Breakdown

@@ -1,7 +1,6 @@
 // Command envyvet runs the module's static-analysis suite (simtime,
-// flashstate, panicpolicy, exhaustive, schedstate, shardlock,
-// banklock, lanepurity, maporder, claimgraph — see internal/analysis)
-// in two modes.
+// flashstate, panicpolicy, exhaustive, schedstate, maporder,
+// claimgraph — see internal/analysis) in two modes.
 //
 // Standalone, for humans:
 //

@@ -7,8 +7,8 @@
 //
 // With no arguments every experiment runs. Individual experiments:
 // fig1, fig6, fig8, fig9, fig10, fig12, fig13, fig14, fig15,
-// breakdown, lifetime, parallel, hostdepth, parhost, parwall, bgpar,
-// ablations, maptier, diffflush, cluster.
+// breakdown, lifetime, parallel, hostdepth, ablations, maptier,
+// diffflush, cluster.
 //
 // -json additionally writes BENCH_results.json: one record per
 // experiment with its headline metrics, the scale profile, the seed,
@@ -200,109 +200,6 @@ func main() {
 		}
 		experiments.HostDepthTable(pts).Print(out)
 		record("hostdepth", experiments.HostDepthMetrics(pts), start)
-	}
-	if selected("parhost") {
-		start := time.Now()
-		pts, err := experiments.ParallelHost(sc)
-		if err != nil {
-			fail("parhost", err)
-		}
-		experiments.ParallelHostTable(pts).Print(out)
-		record("parhost", experiments.ParallelHostMetrics(pts), start)
-	}
-	if selected("parwall") {
-		// Wall-clock scaling of the lock-decomposed service: one prepared
-		// rig, driven at several GOMAXPROCS settings. The wall clock lives
-		// here in the driver (simulated-time code never reads it); num_cpu
-		// is recorded because wall scaling is bounded by the machine —
-		// GOMAXPROCS above the core count cannot speed anything up.
-		start := time.Now()
-		rig, err := experiments.ParallelWallPrepare(sc)
-		if err != nil {
-			fail("parwall", err)
-		}
-		metrics := map[string]float64{"num_cpu": float64(runtime.NumCPU())}
-		t := experiments.Table{
-			Title:  "parallel host service: wall-clock scaling",
-			Note:   fmt.Sprintf("%d disjoint read lanes; host machine has %d CPU(s)", rig.Lanes(), runtime.NumCPU()),
-			Header: []string{"GOMAXPROCS", "wall seconds", "requests", "MB read"},
-		}
-		for _, procs := range []int{1, 4, 8} {
-			prev := runtime.GOMAXPROCS(procs)
-			driveStart := time.Now()
-			w, err := rig.Drive(experiments.ParallelWallRounds)
-			wall := time.Since(driveStart).Seconds()
-			runtime.GOMAXPROCS(prev)
-			if err != nil {
-				fail("parwall", err)
-			}
-			metrics[fmt.Sprintf("gomaxprocs%d_wall_seconds", procs)] = wall
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", procs), fmt.Sprintf("%.3f", wall),
-				fmt.Sprintf("%d", w.Requests), fmt.Sprintf("%.1f", float64(w.BytesRead)/(1<<20)),
-			})
-		}
-		t.Print(out)
-		record("parwall", metrics, start)
-	}
-	if selected("bgpar") {
-		// Wall-clock effect of the background worker pool: the same
-		// saturated flush/clean flood driven serial (BGWorkers=0) and
-		// pooled (one worker per bank). Counter identity is the
-		// determinism evidence; the speedup gate binds only on machines
-		// with enough cores (num_cpu records the provenance).
-		start := time.Now()
-		serialRig, err := experiments.BGParPrepare(0)
-		if err != nil {
-			fail("bgpar", err)
-		}
-		serialStart := time.Now()
-		serialCtr, err := serialRig.Drive(experiments.BGParRounds)
-		serialWall := time.Since(serialStart).Seconds()
-		serialRig.Close()
-		if err != nil {
-			fail("bgpar", err)
-		}
-		pooledRig, err := experiments.BGParPrepare(experiments.BGParWorkers)
-		if err != nil {
-			fail("bgpar", err)
-		}
-		pooledStart := time.Now()
-		pooledCtr, err := pooledRig.Drive(experiments.BGParRounds)
-		pooledWall := time.Since(pooledStart).Seconds()
-		jobs, bytes := pooledRig.PoolStats()
-		pooledRig.Close()
-		if err != nil {
-			fail("bgpar", err)
-		}
-		if err := experiments.BGParCheckIdentical(serialCtr, pooledCtr); err != nil {
-			fail("bgpar", err)
-		}
-		if err := experiments.BGParCheckSpeedup(serialWall, pooledWall, runtime.NumCPU()); err != nil {
-			fail("bgpar", err)
-		}
-		t := experiments.Table{
-			Title: "background worker pool: wall-clock speedup",
-			Note: fmt.Sprintf("16 KB pages, 8 banks, %d workers; counters bit-identical; host machine has %d CPU(s)",
-				experiments.BGParWorkers, runtime.NumCPU()),
-			Header: []string{"path", "wall seconds", "flushes", "clean copies", "pool jobs", "pool MB"},
-		}
-		t.Rows = append(t.Rows, []string{"serial", fmt.Sprintf("%.3f", serialWall),
-			fmt.Sprintf("%d", serialCtr.Flushes), fmt.Sprintf("%d", serialCtr.CleanCopies), "0", "0.0"})
-		t.Rows = append(t.Rows, []string{"pooled", fmt.Sprintf("%.3f", pooledWall),
-			fmt.Sprintf("%d", pooledCtr.Flushes), fmt.Sprintf("%d", pooledCtr.CleanCopies),
-			fmt.Sprintf("%d", jobs), fmt.Sprintf("%.1f", float64(bytes)/(1<<20))})
-		t.Print(out)
-		record("bgpar", map[string]float64{
-			"num_cpu":             float64(runtime.NumCPU()),
-			"serial_wall_seconds": serialWall,
-			"pooled_wall_seconds": pooledWall,
-			"speedup":             serialWall / pooledWall,
-			"flushes":             float64(pooledCtr.Flushes),
-			"clean_copies":        float64(pooledCtr.CleanCopies),
-			"pool_jobs":           float64(jobs),
-			"pool_bytes":          float64(bytes),
-		}, start)
 	}
 	if selected("ablations") {
 		start := time.Now()

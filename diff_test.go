@@ -240,17 +240,10 @@ func TestDiffCleaningConsolidates(t *testing.T) {
 	}
 }
 
-// TestDiffConfigRejected pins the configuration guards: the
-// differential policy cannot combine with the parallel service path,
-// and a negative chain bound is an error.
+// TestDiffConfigRejected pins the configuration guard: a negative chain
+// bound is an error.
 func TestDiffConfigRejected(t *testing.T) {
 	cfg := diffConfig()
-	cfg.ParallelService = true
-	cfg.HostQueueDepth = 4
-	if _, err := envy.New(cfg); err == nil {
-		t.Error("DiffFlush + ParallelService accepted; want error")
-	}
-	cfg = diffConfig()
 	cfg.DiffMaxChain = -1
 	if _, err := envy.New(cfg); err == nil {
 		t.Error("negative DiffMaxChain accepted; want error")

@@ -68,8 +68,7 @@ const (
 	// chain over an unchanged base copy. Reads of a chained page merge
 	// base and overlapping records; cleaning consolidates chains into
 	// fresh full copies; a chain at Config.DiffMaxChain records is
-	// promoted back to a full-page flush. Incompatible with
-	// ParallelService.
+	// promoted back to a full-page flush.
 	DiffFlush
 )
 
@@ -130,37 +129,6 @@ type Config struct {
 	// The synchronous access methods are unaffected.
 	HostQueueDepth int
 
-	// PageTableShards splits the page table into this many logical-page
-	// range shards, each behind its own lock, letting concurrent
-	// submitters translate in parallel without the device mutex.
-	// Without ParallelService, sharding never changes simulated timing —
-	// results are bit-identical at any shard count. Default 1.
-	PageTableShards int
-
-	// ParallelService enables the lock-decomposed parallel host service
-	// path for Submit requests: the engine admits batches of queued
-	// requests whose resource footprints (page-table shards + Flash
-	// banks) are disjoint and executes them concurrently on real OS
-	// threads, each batch starting at a shared simulated base time and
-	// merging deterministically. Requires HostQueueDepth > 1 to have any
-	// effect; PageTableShards and ParallelFlush should be raised toward
-	// the bank count for real wins. Changes the simulated timing of
-	// multi-outstanding runs (batched requests genuinely overlap);
-	// results remain bit-identical for a given submission order at any
-	// GOMAXPROCS. Default off.
-	ParallelService bool
-
-	// BGWorkers, when positive, runs the background path's physical
-	// byte movement — flush-program payload copies into the Flash
-	// model's backing store, and cleaning relocation copies — on a pool
-	// of that many worker OS threads with one FIFO job lane per bank.
-	// The scheduler's decision loop stays serial and jobs never touch
-	// simulated state, so results are bit-identical to the serial path
-	// (BGWorkers 0) at any worker count and any GOMAXPROCS; only
-	// wall-clock throughput changes. Clamped to Banks; ignored with
-	// Dataless (no payloads to move). Default 0: off.
-	BGWorkers int
-
 	// AdaptiveDepth enables the host-queue depth controller: the engine
 	// throttles its effective admission depth within [1, HostQueueDepth]
 	// against the observed background-operation suspension rate (§3.4
@@ -177,14 +145,13 @@ type Config struct {
 	// that also misses the mapping cache pays a Flash read — and
 	// mapping-page writebacks, cleans, and erases run as background
 	// operations. nil (the default) keeps the flat SRAM table and is
-	// bit-identical to builds without the tier. Incompatible with
-	// ParallelService.
+	// bit-identical to builds without the tier.
 	MapTier *MapTierConfig
 
 	// FlushPolicy selects the write-back path: FullPageFlush (the
 	// default, the paper's full-page programs, bit-identical to builds
 	// without the policy layer) or DiffFlush (page-differential
-	// logging). Incompatible with ParallelService.
+	// logging).
 	FlushPolicy FlushPolicy
 
 	// DiffMaxChain bounds a page's diff chain under DiffFlush: once a
@@ -325,9 +292,6 @@ func (c Config) coreConfig() core.Config {
 		BufferPages:       c.BufferPages,
 		MMUEntries:        c.MMUEntries,
 		ParallelFlush:     c.ParallelFlush,
-		PageTableShards:   c.PageTableShards,
-		ParallelService:   c.ParallelService,
-		BGWorkers:         c.BGWorkers,
 		Dataless:          c.Dataless,
 		DiffMaxChain:      c.DiffMaxChain,
 		FlushPolicy:       core.FlushPolicyKind(c.FlushPolicy),
@@ -363,18 +327,6 @@ func (c Config) coreConfig() core.Config {
 // Recover) are atomic as a whole: no other caller's access interleaves
 // inside them.
 //
-// With Config.ParallelService, the device-driving call that services
-// the queue fans admitted batches out to worker goroutines internally
-// (core.ExecBatch), but the public memory model is unchanged: the
-// device mutex is held across the whole batch, the internal lanes only
-// touch state their resource footprints cover, and they join before
-// the driving call returns. Externally observable ordering is still
-// the sequentially consistent admission order; what changes is the
-// simulated timing (batched requests overlap on the device clock, the
-// way independent banks overlap in §6) and the wall-clock throughput,
-// which now scales with GOMAXPROCS. For a fixed submission order the
-// simulation is bit-identical at any GOMAXPROCS setting.
-//
 // The transaction (§6) is device-wide state, not per-caller — exactly
 // one may be open at a time, and Begin/Commit/Rollback from different
 // goroutines act on that one transaction. Callers that mix
@@ -387,13 +339,11 @@ func (c Config) coreConfig() core.Config {
 // Submit enqueues a Request into the bounded host queue
 // (Config.HostQueueDepth slots) and returns without servicing it;
 // completion is observed through Wait, the request's Done channel, or
-// an OnComplete callback. Request validation and the first page-table
-// translation happen outside the device mutex, against the sharded
-// page table (Config.PageTableShards) — concurrent submitters
-// translate in parallel. The synchronous access methods bypass the
-// queue: they execute immediately, ahead of anything queued, so
-// callers that need ordering against in-flight requests should Drain
-// (or Wait) first.
+// an OnComplete callback. Request validation happens outside the
+// device mutex (it reads only immutable geometry). The synchronous
+// access methods bypass the queue: they execute immediately, ahead of
+// anything queued, so callers that need ordering against in-flight
+// requests should Drain (or Wait) first.
 //
 // Core bypasses the mutex; see its doc.
 type Device struct {
@@ -418,9 +368,6 @@ func New(cfg Config) (*Device, error) {
 	}
 	d.SetHostConcurrency(depth)
 	eng := host.New(d, depth, d.Geometry().PageSize)
-	if cfg.ParallelService {
-		eng.SetParallel(d)
-	}
 	if cfg.AdaptiveDepth {
 		eng.EnableAdaptive()
 	}
@@ -453,36 +400,6 @@ func (dev *Device) Idle(d time.Duration) {
 	dev.d.AdvanceTo(target)
 }
 
-// PageState is where a request's first page lived at submission time —
-// a diagnostic snapshot taken during the lock-free pre-translation, so
-// it may be stale by the instant the request is serviced.
-type PageState int
-
-const (
-	// PageUnknown is the zero value: the request has not been submitted.
-	PageUnknown PageState = iota
-	// PageUnmapped: never written (reads return zeros).
-	PageUnmapped
-	// PageBuffered: current copy in the battery-backed SRAM buffer.
-	PageBuffered
-	// PageFlash: current copy in the Flash array.
-	PageFlash
-)
-
-func (s PageState) String() string {
-	switch s {
-	case PageUnknown:
-		return "unknown"
-	case PageUnmapped:
-		return "unmapped"
-	case PageBuffered:
-		return "buffered"
-	case PageFlash:
-		return "flash"
-	}
-	return fmt.Sprintf("PageState(%d)", int(s))
-}
-
 // Request is one asynchronous host access, issued with Submit and
 // completed through Wait, Done, or OnComplete. The caller fills Write,
 // Addr, Data (and optionally OnComplete); the device fills the rest at
@@ -506,14 +423,13 @@ type Request struct {
 
 	// Completion-filled fields, valid once Done is closed: timestamps on
 	// the simulated clock (offsets from device start), the sojourn
-	// latency (Completion − Arrival, queueing and stalls included), the
-	// access outcome, and where the first page lived at submission.
+	// latency (Completion − Arrival, queueing and stalls included) and
+	// the access outcome.
 	Arrival    time.Duration
 	Start      time.Duration
 	Completion time.Duration
 	Latency    time.Duration
 	Err        error
-	AtSubmit   PageState
 
 	// inner is the host-level request, held by value and completed
 	// through complete via its Owner back-pointer; done doubles as the
@@ -534,10 +450,8 @@ func (r *Request) Done() <-chan struct{} { return r.done }
 // is at capacity, Submit back-pressures: it blocks (in simulated time)
 // servicing requests until a slot frees.
 //
-// Validation and the first page-table translation run before the
-// device mutex is taken, against the sharded page table, so concurrent
-// submitters translate in parallel. A rejected request charges no
-// simulated time.
+// Validation runs before the device mutex is taken. A rejected request
+// charges no simulated time.
 //
 // At HostQueueDepth 1 the queue degenerates to the paper's
 // single-outstanding host: Submit services r synchronously and is
@@ -579,23 +493,13 @@ func (dev *Device) SubmitAll(rs ...*Request) error {
 
 // prepare validates r and builds its host-level request. It runs
 // before the device mutex is taken: CheckRange reads only immutable
-// geometry, and the diagnostic lookup takes one page-table shard's
-// read lock.
+// geometry.
 func (dev *Device) prepare(r *Request) error {
 	if r.done != nil {
 		return fmt.Errorf("envy: Request resubmitted; requests are single-use")
 	}
 	if err := dev.d.CheckRange(r.Addr, len(r.Data)); err != nil {
 		return err
-	}
-	page := uint32(r.Addr / uint64(dev.d.Geometry().PageSize))
-	switch loc, ok := dev.d.PageTable().Lookup(page); {
-	case !ok:
-		r.AtSubmit = PageUnmapped
-	case loc.InSRAM:
-		r.AtSubmit = PageBuffered
-	default:
-		r.AtSubmit = PageFlash
 	}
 	r.inner = host.Request{Write: r.Write, Addr: r.Addr, Data: r.Data, OnComplete: complete, Owner: r}
 	r.done = make(chan struct{})
@@ -678,7 +582,7 @@ func (dev *Device) WriteWord(addr uint64, v uint32) time.Duration {
 // Read fills p from addr and returns the cumulative latency. On the
 // simulated clock that is one word-sized host access per 32-bit word
 // (§1); the simulator itself services each page's words in runs (see
-// DESIGN.md §18), with results identical to a word-at-a-time walk. An
+// DESIGN.md §16), with results identical to a word-at-a-time walk. An
 // out-of-range access panics, as a wild pointer through a real memory
 // bus would fault; hosts that cannot trust their addresses should use
 // ReadErr.
@@ -960,12 +864,10 @@ type Stats struct {
 	HostEffectiveDepth    int
 	HostMinEffectiveDepth int
 
-	// Parallel service batch accounting (Config.ParallelService):
-	// dispatched batches, requests serviced inside them, and the
-	// largest batch.
-	HostBatches         int64
-	HostBatchedRequests int64
-	HostMaxBatch        int
+	// Deprecated: always 0 — batch dispatch was removed in PR 20. Kept
+	// only because the frozen bench/ (bench/metrics.go, host.batches)
+	// reads it; the benchmark PR that drops that metric drops this too.
+	HostBatches int64
 
 	// FlushCleanOverlap is simulated time during which a flush program
 	// and a cleaning copy were progressing concurrently on distinct
@@ -1005,18 +907,6 @@ type Stats struct {
 	MapFlushOps OpCounters
 	MapCleanOps OpCounters
 	MapEraseOps OpCounters
-
-	// Background worker-pool accounting (Config.BGWorkers; zero when the
-	// pool is off). BGPoolWorkers is the pool's thread count;
-	// BGPoolJobs/BGPoolBytes count payload jobs and bytes moved on the
-	// bank lanes (both deterministic — they mirror the serial path's
-	// program and copy counts). BGPoolSyncWaits counts lane joins that
-	// actually blocked; it is a wall-clock-domain figure that varies run
-	// to run and must never be compared across runs.
-	BGPoolWorkers   int
-	BGPoolJobs      int64
-	BGPoolBytes     int64
-	BGPoolSyncWaits int64
 }
 
 // OpCounters is the scheduler's lifecycle accounting for one kind of
@@ -1102,9 +992,6 @@ func (dev *Device) Stats() Stats {
 		HostMaxDepth:          dev.eng.MaxDepth(),
 		HostEffectiveDepth:    dev.eng.EffectiveDepth(),
 		HostMinEffectiveDepth: dev.eng.MinEffectiveDepth(),
-		HostBatches:           dev.eng.Batches(),
-		HostBatchedRequests:   dev.eng.BatchedRequests(),
-		HostMaxBatch:          dev.eng.MaxBatch(),
 		FlushCleanOverlap:     time.Duration(ops.FlushCleanOverlap()),
 		FlushOps:              opCounters(ops.Get(stats.OpFlush)),
 		CleanCopyOps:          opCounters(ops.Get(stats.OpCleanCopy)),
@@ -1127,10 +1014,6 @@ func (dev *Device) Stats() Stats {
 		st.MapDirectoryBytes = mt.DirectoryBytes()
 		st.MapCacheBytes = mt.CacheBytes()
 	}
-	if p := dev.d.Pool(); p != nil {
-		st.BGPoolWorkers = p.Workers()
-		st.BGPoolJobs, st.BGPoolBytes, st.BGPoolSyncWaits = p.Stats()
-	}
 	return st
 }
 
@@ -1142,18 +1025,12 @@ func (dev *Device) ResetStats() {
 	dev.eng.ResetStats()
 }
 
-// Close releases the background worker pool's OS threads
-// (Config.BGWorkers). The device stays fully usable afterwards —
-// payload work simply runs inline, as with BGWorkers 0 — so Close is
-// about reclaiming threads promptly, not about ending the device's
-// life. Idempotent; a no-op without a pool. Unclosed pools are reaped
-// by a finalizer, so calling Close is optional outside long-lived
-// processes that churn through many devices.
-func (dev *Device) Close() {
-	dev.mu.Lock()
-	defer dev.mu.Unlock()
-	dev.d.Close()
-}
+// Close does nothing: the device owns no threads or other resources.
+//
+// Deprecated: kept only because the frozen bench/ (bench/probes.go,
+// bench/workloads.go) calls it; the benchmark PR that drops those
+// calls drops this too.
+func (dev *Device) Close() {}
 
 // CheckConsistency verifies the device's internal invariants and
 // returns the first violation, or nil. Intended for tests and

@@ -9,16 +9,16 @@ import (
 )
 
 // FuzzParallelWindow is the crash-recovery fuzzer pointed at the
-// parallel background path: four banks, ParallelFlush at the bank
-// count, and the worker pool carrying payload bytes, so the byte
-// stream's crash plans — including the merge-boundary class unique to
-// multi-lane windows — fire while several background operations are in
-// flight with their effects partially merged. The durability contract
+// parallel background path: four banks with ParallelFlush at the bank
+// count, so the byte stream's crash plans — including the
+// merge-boundary class unique to multi-lane windows — fire while
+// several background operations are in flight with their effects
+// partially merged. The durability contract
 // is the same as FuzzCrashRecovery's: after every recovery the whole
 // logical space reads back exactly as the model says.
 func FuzzParallelWindow(f *testing.F) {
 	// Seeds: merge plans armed mid-traffic with idle for background work
-	// to overlap; a program plan under the pool; an external yank while
+	// to overlap; a program plan mid-window; an external yank while
 	// lanes are busy; a transaction cut down inside a parallel window.
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 4, 5, 2, 3, 200, 0, 0, 7, 0})
 	f.Add([]byte{4, 5, 0, 0, 0, 0, 0, 1, 0, 3, 255, 0, 0, 2, 0})
@@ -39,12 +39,10 @@ func FuzzParallelWindow(f *testing.F) {
 			WearThreshold:     4,
 			BufferPages:       32,
 			ParallelFlush:     4,
-			BGWorkers:         4,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer dev.Close()
 		var chk invariant.Checker
 		model := make(map[uint64]uint32)
 		pend := make(map[uint64]uint32)

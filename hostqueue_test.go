@@ -3,11 +3,11 @@
 // bit-identically (the golden fixtures), a full queue must
 // back-pressure instead of growing, and the write fence must order
 // same-page accesses — also under the race detector with concurrent
-// submitters translating through the sharded page table.
+// submitters, with and without a crash armed mid-run.
 //
 // CI runs this file standalone as the multi-initiator torture step:
 //
-//	go test -race -run TestHostQueue .
+//	go test -race -run 'TestHostQueue|TestFlushCleanOverlap' .
 package envy_test
 
 import (
@@ -116,7 +116,7 @@ func hostQueueScenario(t *testing.T, cfg envy.Config, seed uint64, ops int, hotF
 }
 
 // TestHostQueueGoldenDepthOne replays every golden fixture's workload
-// through the request queue at depth 1, shards 1, and demands the
+// through the request queue at depth 1 and demands the
 // exact snapshot the synchronous path pinned. This is the boundary the
 // whole engine preserves: queueing is purely additive.
 func TestHostQueueGoldenDepthOne(t *testing.T) {
@@ -155,7 +155,6 @@ func TestHostQueueGoldenDepthOne(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := sc.cfg
 			cfg.HostQueueDepth = 1
-			cfg.PageTableShards = 1
 			got := hostQueueScenario(t, cfg, sc.seed, sc.ops, sc.hotFrac)
 			raw, err := os.ReadFile(filepath.Join("testdata", "golden", sc.name+".json"))
 			if err != nil {
@@ -180,7 +179,6 @@ func TestHostQueueGoldenDepthOne(t *testing.T) {
 func TestHostQueueBackPressure(t *testing.T) {
 	cfg := goldenConfig(envy.HybridPolicy)
 	cfg.HostQueueDepth = 2
-	cfg.PageTableShards = 4
 	dev, err := envy.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -267,15 +265,14 @@ func TestHostQueueWriteFence(t *testing.T) {
 
 // TestHostQueueConcurrentSubmitters hammers one device from many
 // goroutines, each owning a disjoint page range: every goroutine
-// writes and reads back its own pages through Submit/Wait while the
-// others translate concurrently through the sharded page table. Run
-// under -race this is the multi-initiator torture test; the value
-// check doubles as a same-page write-after-write ordering check per
-// goroutine.
+// writes and reads back its own pages through Submit/Wait. Run under
+// -race this is the multi-initiator torture test — it proves Submit's
+// validation touches no mutable device state outside the mutex; the
+// value check doubles as a same-page write-after-write ordering check
+// per goroutine.
 func TestHostQueueConcurrentSubmitters(t *testing.T) {
 	cfg := goldenConfig(envy.HybridPolicy)
 	cfg.HostQueueDepth = 4
-	cfg.PageTableShards = 8
 	dev, err := envy.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -331,5 +328,160 @@ func TestHostQueueConcurrentSubmitters(t *testing.T) {
 	dev.Drain()
 	if err := dev.CheckConsistency(); err != nil {
 		t.Fatalf("post-hammer consistency: %v", err)
+	}
+}
+
+// hostQueueHammerConfig is the concurrency-test geometry at queue depth
+// 8 with one flush lane per bank.
+func hostQueueHammerConfig() envy.Config {
+	cfg := concurrencyConfig()
+	cfg.ParallelFlush = cfg.Banks
+	cfg.HostQueueDepth = 8
+	return cfg
+}
+
+// submitHammer drives racing submitters through the public queue:
+// workers submit word reads and writes over their own stripes, an observer snapshots Stats, and the main goroutine drains.
+// Verification is read-after-write per stripe, same as the synchronous
+// hammer. Returns whether the device crashed mid-run (for the
+// crash-arm variant).
+func submitHammer(t *testing.T, dev *envy.Device, workers, opsPerWorker int, tolerateCrash bool) bool {
+	t.Helper()
+	stripe := uint64(4096)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			base := uint64(w) * stripe
+			buf := make([]byte, 4)
+			for i := 0; i < opsPerWorker; i++ {
+				addr := base + uint64(i*132)%stripe
+				want := byte(w<<4) ^ byte(i)
+				wr := &envy.Request{Write: true, Addr: addr, Data: []byte{want, want, want, want}}
+				if err := dev.Submit(wr); err != nil {
+					t.Errorf("worker %d: submit write %#x: %v", w, addr, err)
+					return
+				}
+				if err := dev.Wait(wr); err != nil {
+					if tolerateCrash && crashedErr(err) {
+						return
+					}
+					t.Errorf("worker %d: write %#x: %v", w, addr, err)
+					return
+				}
+				rd := &envy.Request{Addr: addr, Data: buf}
+				if err := dev.Submit(rd); err != nil {
+					t.Errorf("worker %d: submit read %#x: %v", w, addr, err)
+					return
+				}
+				if err := dev.Wait(rd); err != nil {
+					if tolerateCrash && crashedErr(err) {
+						return
+					}
+					t.Errorf("worker %d: read %#x: %v", w, addr, err)
+					return
+				}
+				if buf[0] != want {
+					t.Errorf("worker %d: read %#x = %#x, want %#x", w, addr, buf[0], want)
+					return
+				}
+			}
+		}(w)
+	}
+	// Stats and queue-introspection observer: must be race-free against
+	// the submitters.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < opsPerWorker; i++ {
+			s := dev.Stats()
+			if s.Writes < 0 || s.HostRequests < 0 {
+				t.Error("observer: negative counter")
+				return
+			}
+			_ = dev.Outstanding()
+			if i%16 == 0 {
+				dev.Idle(100_000)
+			}
+		}
+	}()
+	wg.Wait()
+	dev.Drain()
+	return dev.Crashed()
+}
+
+func TestHostQueueSubmitHammer(t *testing.T) {
+	dev, err := envy.New(hostQueueHammerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitHammer(t, dev, 8, 200, false)
+	if err := dev.CheckConsistency(); err != nil {
+		t.Fatalf("post-hammer consistency: %v", err)
+	}
+	s := dev.Stats()
+	if s.Reads == 0 || s.Writes == 0 {
+		t.Fatalf("hammer recorded no traffic: %+v", s)
+	}
+}
+
+// TestHostQueueCrashArmHammer arms a crash plan under the racing
+// submitters, then recovers and hammers again: a crash surfacing in one
+// caller's Wait must fail the others cleanly, and the recovered device
+// must take the same traffic again.
+func TestHostQueueCrashArmHammer(t *testing.T) {
+	cfg := hostQueueHammerConfig()
+	cfg.FaultPlan = &envy.FaultPlan{Program: 40, Seed: 0x9e3779b97f4a7c15}
+	dev, err := envy.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !submitHammer(t, dev, 8, 200, true) {
+		t.Fatal("fault plan never fired during the submit hammer")
+	}
+	if _, err := dev.Recover(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if err := dev.CheckConsistency(); err != nil {
+		t.Fatalf("post-recovery consistency: %v", err)
+	}
+	submitHammer(t, dev, 4, 80, false)
+	if err := dev.CheckConsistency(); err != nil {
+		t.Fatalf("post-recovery hammer consistency: %v", err)
+	}
+}
+
+// TestFlushCleanOverlap drives enough write pressure through per-bank
+// parallel flushing that cleaning copies overlap flush programming on
+// distinct banks, and checks the scheduler's overlap accumulator saw
+// it — the observable behind the §6 concurrency claim.
+func TestFlushCleanOverlap(t *testing.T) {
+	cfg := hostQueueHammerConfig()
+	dev, err := envy.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, 128)
+	size := uint64(dev.Size())
+	for i := uint64(0); i < 3*size/128; i++ {
+		page[0] = byte(i)
+		addr := (i * 128) % size
+		w := &envy.Request{Write: true, Addr: addr, Data: page}
+		if err := dev.Submit(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.Wait(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev.Drain()
+	s := dev.Stats()
+	if s.CleanCopies == 0 || s.Flushes == 0 {
+		t.Fatalf("write pressure produced no cleaning traffic: %+v", s)
+	}
+	if s.FlushCleanOverlap <= 0 {
+		t.Fatalf("cleaning copies never overlapped flush programming (overlap %v, %d flushes, %d clean copies)",
+			s.FlushCleanOverlap, s.Flushes, s.CleanCopies)
 	}
 }

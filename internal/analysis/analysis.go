@@ -2,9 +2,9 @@
 // the go/analysis model: an Analyzer inspects one type-checked package
 // and reports Diagnostics. It exists because this module vendors no
 // external tooling — the envyvet checkers (simtime, flashstate,
-// panicpolicy, exhaustive, schedstate, shardlock, banklock, lanepurity,
-// maporder, claimgraph) are built on it, and cmd/envyvet drives them
-// both standalone and under `go vet -vettool`.
+// panicpolicy, exhaustive, schedstate, maporder, claimgraph) are built
+// on it, and cmd/envyvet drives them both standalone and under
+// `go vet -vettool`.
 //
 // The deliberate differences from golang.org/x/tools/go/analysis:
 //
@@ -286,7 +286,7 @@ func StaleSuppressions(fset *token.FileSet, files []*ast.File, audit *Suppressio
 
 // All returns the full envyvet suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Simtime, Flashstate, Panicpolicy, Exhaustive, Schedstate, Shardlock, Banklock, Lanepurity, Maporder, Claimgraph}
+	return []*Analyzer{Simtime, Flashstate, Panicpolicy, Exhaustive, Schedstate, Maporder, Claimgraph}
 }
 
 // SortDiagnostics orders diagnostics by file position for stable

@@ -234,24 +234,6 @@ func TestExhaustive(t *testing.T) {
 	runFixture(t, analysis.Exhaustive, "envy/internal/flash")    // declarations only: clean
 }
 
-func TestShardlock(t *testing.T) {
-	runFixture(t, analysis.Shardlock, "envy/internal/pagetable") // ascending-order rules
-	runFixture(t, analysis.Shardlock, "envy/internal/sched")     // out of scope: clean
-}
-
-func TestBanklock(t *testing.T) {
-	runFixture(t, analysis.Banklock, "envy/internal/rlock")     // canonical-order rules
-	runFixture(t, analysis.Banklock, "envy/internal/pagetable") // out of scope: clean
-}
-
-func TestLanepurity(t *testing.T) {
-	// The sched fixture's effect facts must be in the store before the
-	// lane entries in the core fixture are checked.
-	runFixtureFacts(t, analysis.Lanepurity, []string{"envy/internal/sched", "envy/internal/pagetable", "envy/internal/sram"}, "envy/internal/core")
-	runFixture(t, analysis.Lanepurity, "envy/internal/sched")     // writes, but no lane entries: clean
-	runFixture(t, analysis.Lanepurity, "envy/internal/pagetable") // shared-type writes, but no lane entries: clean
-}
-
 func TestMaporder(t *testing.T) {
 	runFixture(t, analysis.Maporder, "envy/internal/stats") // map iteration order rules
 	// Cross-package taint: wallhelp's wall-clock facts first.
@@ -260,12 +242,11 @@ func TestMaporder(t *testing.T) {
 }
 
 func TestClaimgraph(t *testing.T) {
-	// Rank violation and cycle assembled from claims' and rlock's facts.
-	runFixtureFacts(t, analysis.Claimgraph, []string{"envy/internal/claims", "envy/internal/cluster", "envy/internal/maptier", "envy/internal/rlock"}, "envy/internal/lockuser")
-	runFixture(t, analysis.Claimgraph, "envy/internal/claims")    // A→B alone, no cycle: clean
-	runFixture(t, analysis.Claimgraph, "envy/internal/cluster")   // single router lock, helpers only: clean
-	runFixture(t, analysis.Claimgraph, "envy/internal/maptier")   // single lock, helpers only: clean
-	runFixture(t, analysis.Claimgraph, "envy/internal/pagetable") // same-class sweeps only: clean
+	// Rank violation and cycle assembled from the lock owners' facts.
+	runFixtureFacts(t, analysis.Claimgraph, []string{"envy/internal/claims", "envy/internal/cluster", "envy/internal/maptier"}, "envy/internal/lockuser")
+	runFixture(t, analysis.Claimgraph, "envy/internal/claims")  // A→B alone, no cycle: clean
+	runFixture(t, analysis.Claimgraph, "envy/internal/cluster") // single router lock, helpers only: clean
+	runFixture(t, analysis.Claimgraph, "envy/internal/maptier") // single lock, helpers only: clean
 }
 
 // TestStaleSuppressions pins the suppression audit: a directive that
@@ -338,7 +319,7 @@ func TestRepoSelfCheck(t *testing.T) {
 	}
 }
 
-// TestAll pins the suite contents: drivers and CI rely on these ten.
+// TestAll pins the suite contents: drivers and CI rely on these seven.
 func TestAll(t *testing.T) {
 	var names []string
 	for _, a := range analysis.All() {
@@ -346,7 +327,7 @@ func TestAll(t *testing.T) {
 	}
 	sort.Strings(names)
 	joined := strings.Join(names, " ")
-	if joined != "banklock claimgraph exhaustive flashstate lanepurity maporder panicpolicy schedstate shardlock simtime" {
+	if joined != "claimgraph exhaustive flashstate maporder panicpolicy schedstate simtime" {
 		t.Fatalf("analyzer suite = %q", joined)
 	}
 }

@@ -11,33 +11,30 @@ import (
 )
 
 // Claimgraph proves the module-wide lock order instead of asserting it
-// one package at a time. Where shardlock and banklock check lexical
-// patterns inside pagetable and rlock, claimgraph extracts every lock
-// and claim acquisition in the whole program — sync.Mutex/RWMutex
-// fields anywhere in the module, plus flash.BankSet bank claims —
-// classifies each site by its owning type and field ("resource
-// class"), and summarizes per function which classes it acquires,
-// which it still holds at return, and which it releases on behalf of
-// its caller. Summaries propagate across package boundaries as
-// function facts, so a lane goroutine that calls rlock.Table.Lock is
-// known to hold the shard/bank/shared classes through everything it
-// does next.
+// one package at a time: it extracts every lock and claim acquisition
+// in the whole program — sync.Mutex/RWMutex fields anywhere in the
+// module, plus flash.BankSet bank claims — classifies each site by its
+// owning type and field ("resource class"), and summarizes per function
+// which classes it acquires, which it still holds at return, and which
+// it releases on behalf of its caller. Summaries propagate across
+// package boundaries as function facts, so a caller of a helper that
+// returns holding a lock is known to hold that class through
+// everything it does next.
 //
 // Two properties are checked over the resulting acquisition graph:
 //
 //   - the canonical rank order of the known classes (device mutex →
-//     page-table shards → rlock shards → rlock banks → rlock shared →
-//     bank claims): acquiring a lower-ranked class while a
-//     higher-ranked one is held is reported immediately, with the
-//     cross-package call chain that reached each acquisition;
+//     cluster router → mapping tier → bank claims): acquiring a
+//     lower-ranked class while a higher-ranked one is held is reported
+//     immediately, with the cross-package call chain that reached each
+//     acquisition;
 //
 //   - absence of cycles among all classes, known or not: every
 //     package exports its acquired-while-held edges as a package
 //     fact, and each pass searches the accumulated global graph for a
 //     cycle through one of its own edges, reporting the full witness
 //     path. Same-class edges are exempt — ascending-index sweeps
-//     within a class are legal, and their index discipline stays with
-//     shardlock and banklock.
+//     within a class are legal.
 //
 // Deferred unlocks are honored (a function that locks and defers the
 // unlock holds nothing at return); calls through interfaces or
@@ -52,19 +49,13 @@ var Claimgraph = &Analyzer{
 // classes. Unranked classes (new locks, fixtures) participate only in
 // cycle detection until they are assigned a slot here.
 var claimRank = map[string]int{
-	"envy.Device.mu":                    0,
-	"envy/internal/cluster.Cluster.mu":  1,
-	"envy/internal/host.Engine.mu":      2,
-	"envy/internal/maptier.Tier.mu":     3,
-	"envy/internal/pagetable.shard.mu":  4,
-	"envy/internal/rlock.Table.shards":  5,
-	"envy/internal/rlock.Table.banks":   6,
-	"envy/internal/rlock.Table.shared":  7,
-	"envy/internal/flash.BankSet.claim": 8,
-	"envy/internal/sched.poolState.mu":  9,
+	"envy.Device.mu":                   0,
+	"envy/internal/cluster.Cluster.mu": 1,
+	"envy/internal/maptier.Tier.mu":    2,
+	bankClaimClass:                     3,
 }
 
-const claimRankDoc = "canonical order: Device.mu → cluster Cluster.mu → host Engine.mu → maptier Tier.mu → pagetable shards → rlock shards → rlock banks → rlock shared → bank claims → sched pool mutex"
+const claimRankDoc = "canonical order: Device.mu → cluster Cluster.mu → maptier Tier.mu → bank claims"
 
 // bankClaimClass is the pseudo-lock class for BankSet claims. Claims
 // are ownership tokens held across suspend/resume, not scoped critical
@@ -327,8 +318,8 @@ func (w *claimWalker) walk(body *ast.BlockStmt) {
 			return false
 		case *ast.FuncLit:
 			// A literal (goroutine body or closure) inherits the held
-			// set — ExecBatch's lanes run under whatever the spawner
-			// holds — but its own lock traffic stays local to it.
+			// set — it runs under whatever the spawner holds — but its
+			// own lock traffic stays local to it.
 			inner := &claimWalker{pass: w.pass, summarize: w.summarize, addEdge: w.addEdge,
 				held: append([]claimAcq(nil), w.held...)}
 			inner.walk(n.Body)
@@ -576,4 +567,34 @@ func receiverClaimClass(pass *Pass, expr ast.Expr) (class string, idx int64, has
 // module-owned type.
 func inModulePath(class string) bool {
 	return class == "envy" || strings.HasPrefix(class, "envy.") || strings.HasPrefix(class, "envy/")
+}
+
+// inModule reports whether pkg belongs to this module.
+func inModule(pkg *types.Package) bool {
+	if pkg == nil {
+		return false
+	}
+	return pkg.Path() == "envy" || strings.HasPrefix(pkg.Path(), "envy/")
+}
+
+// site renders a position as file:line using the file's base name, so
+// facts and messages stay stable across checkouts.
+func site(fset *token.FileSet, pos token.Pos) string {
+	p := fset.Position(pos)
+	name := p.Filename
+	if i := strings.LastIndexByte(name, '/'); i >= 0 {
+		name = name[i+1:]
+	}
+	return name + ":" + strconv.Itoa(p.Line)
+}
+
+// mutexMethod reports whether sel names a method of sync.Mutex or
+// sync.RWMutex.
+func mutexMethod(pass *Pass, sel *ast.SelectorExpr) bool {
+	selection := pass.TypesInfo.Selections[sel]
+	if selection == nil || selection.Kind() != types.MethodVal {
+		return false
+	}
+	class := typeClass(namedOf(selection.Recv()))
+	return class == "sync.Mutex" || class == "sync.RWMutex"
 }

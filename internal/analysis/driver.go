@@ -20,7 +20,7 @@ import (
 // type-checks every module package (including test variants) from
 // source, and runs the full analyzer suite over them in dependency
 // order with one shared fact store — so cross-package analyzers
-// (lanepurity, maporder, claimgraph) see the facts their dependencies
+// (maporder, claimgraph) see the facts their dependencies
 // exported. After the suite runs over a package, suppression
 // directives that silenced nothing are reported as findings too.
 //

@@ -40,7 +40,6 @@ var mapOrderPackages = func() map[string]bool {
 		"envy/internal/host":      true,
 		"envy/internal/stats":     true,
 		"envy/internal/pagetable": true,
-		"envy/internal/rlock":     true,
 		"envy/internal/invariant": true,
 	}
 	for p := range simPackages {

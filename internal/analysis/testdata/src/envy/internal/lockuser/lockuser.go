@@ -1,32 +1,15 @@
 // Package lockuser is a claimgraph fixture: it acquires locks owned by
-// the claims and rlock fixtures through their helpers, so every edge
-// here depends on imported function facts, and the deadlock cycle
-// closes only through the acquisition edge the claims package exports.
+// the claims, cluster and maptier fixtures through their helpers, so
+// every edge here depends on imported function facts, and the deadlock
+// cycle closes only through the acquisition edge the claims package
+// exports.
 package lockuser
 
 import (
 	"envy/internal/claims"
 	"envy/internal/cluster"
 	"envy/internal/maptier"
-	"envy/internal/rlock"
 )
-
-// goodOrder follows the canonical order — shards before banks. Clean.
-func goodOrder(t *rlock.Table) {
-	t.LockShards()
-	t.LockBank1()
-	t.UnlockBank1()
-	t.UnlockShards()
-}
-
-// badOrder takes a shard lock while a bank lock is held: a rank
-// violation assembled entirely from imported facts.
-func badOrder(t *rlock.Table) {
-	t.LockBank1()
-	t.LockShards() // want `claimgraph: envy/internal/rlock\.Table\.shards\[1\] at helpers\.go:\d+ via envy/internal/rlock\.Table\.LockShards acquired while envy/internal/rlock\.Table\.banks is held`
-	t.UnlockShards()
-	t.UnlockBank1()
-}
 
 // pairedUse takes both claims locks in that package's canonical A→B
 // order. Clean.
@@ -42,24 +25,6 @@ func badCycle(a *claims.A, b *claims.B) {
 	claims.LockA(a) // want `claimgraph: lock-order cycle envy/internal/claims\.B\.mu → envy/internal/claims\.A\.mu → envy/internal/claims\.B\.mu`
 	claims.UnlockA(a)
 	b.Drop()
-}
-
-// goodTierOrder takes the mapping-tier lock before an rlock shard —
-// descending the canonical ranks. Clean.
-func goodTierOrder(mt *maptier.Tier, t *rlock.Table) {
-	mt.LockTier()
-	t.LockShards()
-	t.UnlockShards()
-	mt.UnlockTier()
-}
-
-// badTierOrder acquires the mapping-tier lock while an rlock shard is
-// held: the tier ranks above the shards, so this inverts the order.
-func badTierOrder(mt *maptier.Tier, t *rlock.Table) {
-	t.LockShards()
-	mt.LockTier() // want `claimgraph: envy/internal/maptier\.Tier\.mu at maptier\.go:\d+ via envy/internal/maptier\.Tier\.LockTier acquired while envy/internal/rlock\.Table\.shards is held`
-	mt.UnlockTier()
-	t.UnlockShards()
 }
 
 // goodRouterOrder takes the router lock before the mapping tier —

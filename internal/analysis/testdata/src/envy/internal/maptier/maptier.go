@@ -1,6 +1,6 @@
 // Package maptier is a claimgraph fixture: a stand-in for the two-tier
-// page table's cache lock, ranked between the host engine and the
-// pagetable shards in the canonical order. The package itself is clean;
+// page table's cache lock, ranked between the cluster router and the
+// bank claims in the canonical order. The package itself is clean;
 // the rank violation appears only when another package acquires the
 // tier lock under a lower-ranked lock.
 package maptier

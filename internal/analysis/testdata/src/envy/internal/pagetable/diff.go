@@ -1,9 +1,7 @@
 // DiffDirectory fixture: the diff-chain store behind the differential
 // flush policy. Its mutators are guarded state transitions
-// (flashstate), its entries are device-shared between lanes
-// (lanepurity — Append's field write below is the exported effect),
-// and the package sits in simtime's deterministic territory, so the
-// wall-clock read is a violation.
+// (flashstate), and the package sits in simtime's deterministic
+// territory, so the wall-clock read is a violation.
 package pagetable
 
 import "time"

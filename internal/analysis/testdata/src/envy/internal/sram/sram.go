@@ -1,9 +1,7 @@
 // Buffer fixture: the SRAM write buffer and its flush-candidate index.
 // Which frames are mid-flush decides what the controller may pick next,
-// so the flush transitions are guarded state transitions (flashstate),
-// and the buffer is device-shared between lanes (lanepurity —
-// BeginFlush's field write below is the exported effect). Insert,
-// Remove and the readers stay open to harnesses.
+// so the flush transitions are guarded state transitions (flashstate).
+// Insert, Remove and the readers stay open to harnesses.
 package sram
 
 // Frame is one buffered page.

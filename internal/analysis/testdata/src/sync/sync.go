@@ -1,6 +1,6 @@
 // Package sync is a minimal stub of the standard library's sync
 // package for analyzer fixtures: just the mutex types whose Lock
-// methods the shardlock analyzer recognizes.
+// methods the claimgraph analyzer recognizes.
 package sync
 
 // Mutex is a stub of sync.Mutex.

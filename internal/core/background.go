@@ -266,9 +266,6 @@ func (d *Device) finishFlush(lpn uint32) {
 		d.arr.Invalidate(ppn)
 		d.buf.Requeue(frame)
 	} else {
-		// The frame is about to be freed and recycled for another page;
-		// a worker-lane payload copy may still be reading it.
-		d.arr.SyncPending(ppn)
 		d.setFlash(lpn, ppn)
 		d.buf.Remove(frame)
 		frame.ClearDirty()

@@ -32,7 +32,6 @@ import (
 	"envy/internal/flash"
 	"envy/internal/maptier"
 	"envy/internal/pagetable"
-	"envy/internal/rlock"
 	"envy/internal/sched"
 	"envy/internal/sim"
 	"envy/internal/sram"
@@ -96,25 +95,6 @@ type Config struct {
 	// Banks) operations overlap almost perfectly. Default 1 (off).
 	ParallelFlush int
 
-	// PageTableShards splits the page table into this many logical-page
-	// range shards, each behind its own lock, so concurrent host
-	// initiators (internal/host via envy.Device.Submit) can translate in
-	// parallel without the device mutex. Sharding is a wall-clock
-	// concern only — it never changes simulated timing. Default 1.
-	PageTableShards int
-
-	// ParallelService enables the lock-decomposed parallel host service
-	// path: the host engine admits batches of requests with disjoint
-	// resource footprints (page-table shards + Flash banks, resolved at
-	// admission) and executes them concurrently on real OS threads, each
-	// lane holding its resources via the device's lock table
-	// (internal/rlock) and advancing a private lane clock that merges
-	// deterministically (sim.ShardedClock). The MMU translation cache is
-	// partitioned per page-table shard in this mode, so concurrent lanes
-	// never share cache state. Default off: requests service one at a
-	// time exactly as PR 4's engine did.
-	ParallelService bool
-
 	// MapTier, if non-nil, replaces the flat battery-backed SRAM page
 	// table's cost model with the two-tier table (internal/maptier): a
 	// fixed-budget SRAM cache of mapping pages over a flash-resident
@@ -122,30 +102,20 @@ type Config struct {
 	// remains the authoritative truth in both modes; MapTier changes
 	// what translation costs and how much SRAM the table needs. nil
 	// (the default) keeps the flat-SRAM model and is bit-identical to
-	// builds without the tier. Incompatible with ParallelService.
+	// builds without the tier.
 	MapTier *maptier.Params
 
 	// FlushPolicy selects the write-back policy: FullPageFlush (the
 	// default — the paper's whole-page drain, bit-identical to builds
 	// without the policy layer) or DiffFlush (page-differential
 	// logging: dirty spans packed as diff records into shared unit
-	// pages). Incompatible with ParallelService.
+	// pages).
 	FlushPolicy FlushPolicyKind
 
 	// DiffMaxChain bounds a page's diff-chain length under DiffFlush
 	// (default 3): a page whose chain is at the bound has its next
 	// flush promoted to a full page, which supersedes the chain.
 	DiffMaxChain int
-
-	// BGWorkers, when positive, runs the background path's physical
-	// byte movement — flush-program payload copies and cleaning
-	// relocation copies — on a pool of that many worker OS threads with
-	// one FIFO job lane per Flash bank (internal/sched.Pool). The
-	// scheduler's decision loop stays serial, so the simulated outcome
-	// is bit-identical at any worker count (and with the pool off);
-	// only wall-clock time changes. Clamped to Banks. Ignored with
-	// Dataless (there are no payloads to move). Default 0: off.
-	BGWorkers int
 
 	// Dataless disables payload storage (timing-only simulation).
 	Dataless bool
@@ -201,9 +171,6 @@ func (c *Config) setDefaults() error {
 	if c.ParallelFlush == 0 {
 		c.ParallelFlush = 1
 	}
-	if c.PageTableShards == 0 {
-		c.PageTableShards = 1
-	}
 	if c.ParallelFlush > c.Geometry.Banks {
 		c.ParallelFlush = c.Geometry.Banks
 	}
@@ -222,31 +189,16 @@ func (c *Config) setDefaults() error {
 			c.Cleaning.PartitionSegments = max
 		}
 	}
-	if c.MapTier != nil && c.ParallelService {
-		return fmt.Errorf("core: MapTier is incompatible with ParallelService (the mapping cache is a single shared resource)")
-	}
 	switch c.FlushPolicy {
 	case FullPageFlush, DiffFlush:
 	default:
 		return fmt.Errorf("core: unknown FlushPolicy %d", c.FlushPolicy)
-	}
-	if c.FlushPolicy == DiffFlush && c.ParallelService {
-		return fmt.Errorf("core: FlushPolicy DiffFlush is incompatible with ParallelService (the diff directory is a single shared resource)")
 	}
 	if c.DiffMaxChain == 0 {
 		c.DiffMaxChain = 3
 	}
 	if c.DiffMaxChain < 0 {
 		return fmt.Errorf("core: DiffMaxChain %d must be positive", c.DiffMaxChain)
-	}
-	if c.BGWorkers < 0 {
-		return fmt.Errorf("core: BGWorkers %d must not be negative", c.BGWorkers)
-	}
-	if c.BGWorkers > c.Geometry.Banks {
-		c.BGWorkers = c.Geometry.Banks
-	}
-	if c.Dataless {
-		c.BGWorkers = 0
 	}
 	if c.Cleaning.LogicalPages == 0 {
 		pages := int(c.UtilizationTarget * float64(c.Geometry.Pages()))
@@ -266,25 +218,9 @@ type Device struct {
 	arr *flash.Array
 	buf *sram.Buffer
 
-	// table is read with LookupOwned throughout the controller: every
-	// mutation runs under the front end's device mutex or a lane's
-	// admission lock, which the reader holds too, so the shard RWMutex
-	// round trip per host access buys nothing here. Only readers outside
-	// those locks (envy.Device.prepare's diagnostic lookup) take it.
 	table *pagetable.Table
 	mmu   *pagetable.MMU
 	eng   *cleaner.Engine
-
-	// mmus, non-nil only with Config.ParallelService, partitions the
-	// translation cache per page-table shard so parallel execution lanes
-	// holding distinct shard locks never share MMU state. All MMU access
-	// routes through mmuFor.
-	mmus []*pagetable.MMU
-
-	// rlocks is the resource lock table for the parallel service path
-	// (one mutex per page-table shard and Flash bank); nil when
-	// ParallelService is off.
-	rlocks *rlock.Table
 
 	// mt is the two-tier page table (Config.MapTier); nil keeps the
 	// flat-SRAM translation cost model.
@@ -302,10 +238,6 @@ type Device struct {
 	// occupies; sched executes those operations over simulated time.
 	banks *flash.BankSet
 	sched *sched.Scheduler
-
-	// pool, with Config.BGWorkers, carries the background path's
-	// payload memcpys on per-bank worker lanes; nil runs them inline.
-	pool *sched.Pool
 
 	// finishFlushFn is the shared flush-completion callback
 	// (Op.DonePage), bound once so the hot path allocates no closure
@@ -386,7 +318,7 @@ func New(cfg Config) (*Device, error) {
 		cfg:      cfg,
 		arr:      arr,
 		buf:      sram.NewBuffer(cfg.BufferPages, cfg.Geometry.PageSize, cfg.Dataless),
-		table:    pagetable.NewSharded(cfg.Cleaning.LogicalPages, cfg.PageTableShards),
+		table:    pagetable.New(cfg.Cleaning.LogicalPages),
 		mmu:      pagetable.NewMMU(cfg.MMUEntries, cfg.PTLookup),
 		flushPPN: make(map[uint32]uint32),
 		shadows:  make(map[uint32]*shadow),
@@ -405,16 +337,8 @@ func New(cfg Config) (*Device, error) {
 		d.segStamp = make([]int64, cfg.Geometry.Segments)
 		d.eng.SetConsolidate(d.consolidateForClean)
 	}
-	if cfg.ParallelService {
-		d.mmus = newShardMMUs(cfg)
-		d.rlocks = rlock.NewTable(cfg.PageTableShards, cfg.Geometry.Banks)
-	}
 	d.banks = flash.NewBankSet(cfg.Geometry.Banks)
 	d.finishFlushFn = d.finishFlush
-	if cfg.BGWorkers > 0 {
-		d.pool = sched.NewPool(cfg.BGWorkers, cfg.Geometry.Banks)
-		d.arr.SetLanes(d.pool)
-	}
 	// One lane reproduces the paper's base controller (one background
 	// operation at a time). With ParallelFlush above 1, the banks run
 	// autonomously — every bank may host its own program or erase —
@@ -530,12 +454,6 @@ func (d *Device) latchCrash() {
 		return
 	}
 	d.crashed = true
-	// Every deferred payload job lands before anything is torn: the
-	// chips' already-transferred bytes are not what a power failure
-	// interrupts — the in-flight programs are, and TearInFlight below
-	// models those. Joining first keeps torn images bit-identical to
-	// the serial (pool-off) crash states.
-	d.arr.SyncLanes()
 	for _, lpn := range sortedKeys(d.flushPPN) {
 		ppn := d.flushPPN[lpn]
 		d.arr.TearInFlight(ppn, uint64(d.now)^uint64(ppn)*0x9e3779b97f4a7c15)
@@ -550,7 +468,7 @@ func (d *Device) latchCrash() {
 			return uint64(now) ^ uint64(ppn)*0x9e3779b97f4a7c15
 		})
 	}
-	d.resetMMUs()
+	d.resetMMU()
 	if c := d.sched.Cursor(); c > d.now {
 		d.now = c
 	}
@@ -615,7 +533,7 @@ func (d *Device) remap(logical, oldPPN, newPPN uint32) {
 		}
 		return
 	}
-	if loc, ok := d.table.LookupOwned(logical); ok && !loc.InSRAM && loc.PPN == oldPPN {
+	if loc, ok := d.table.Lookup(logical); ok && !loc.InSRAM && loc.PPN == oldPPN {
 		if d.dir != nil {
 			if e := d.dir.Entry(logical); e != nil && e.Base == oldPPN {
 				d.dir.Rebase(logical, oldPPN, newPPN)
@@ -661,42 +579,12 @@ func (d *Device) Breakdown() stats.Breakdown { return d.breakdown }
 func (d *Device) ReadLatency() *stats.Latency  { return &d.readLat }
 func (d *Device) WriteLatency() *stats.Latency { return &d.writeLat }
 
-// MMUHitRate reports the translation cache hit rate, aggregated across
-// the per-shard caches under ParallelService.
-func (d *Device) MMUHitRate() float64 {
-	if d.mmus == nil {
-		return d.mmu.HitRate()
-	}
-	var lookups, misses int64
-	for _, m := range d.mmus {
-		l, mi := m.Stats()
-		lookups += l
-		misses += mi
-	}
-	if lookups == 0 {
-		return 0
-	}
-	return float64(lookups-misses) / float64(lookups)
-}
+// MMUHitRate reports the translation cache hit rate.
+func (d *Device) MMUHitRate() float64 { return d.mmu.HitRate() }
 
 // Array exposes the underlying Flash array for inspection (wear
 // statistics, utilization).
 func (d *Device) Array() *flash.Array { return d.arr }
-
-// Pool exposes the background worker pool, or nil when Config.BGWorkers
-// is 0 and the background path runs inline.
-func (d *Device) Pool() *sched.Pool { return d.pool }
-
-// Close joins and stops the background worker pool. The device stays
-// usable afterwards — payload work simply runs inline, as with
-// BGWorkers 0 — so callers that crash and re-mount the same Device need
-// not reopen anything. Safe to call multiple times and on devices built
-// without a pool (pools left unclosed are reaped by a finalizer).
-func (d *Device) Close() {
-	if d.pool != nil {
-		d.pool.Close()
-	}
-}
 
 // BufferLen returns the current write-buffer occupancy in pages.
 func (d *Device) BufferLen() int { return d.buf.Len() }
@@ -771,15 +659,12 @@ func (d *Device) ResetStats() {
 // the cleaning state — is persistent (§3.3, §3.4); only the volatile
 // MMU translation cache is lost.
 func (d *Device) PowerCycle() {
-	d.resetMMUs()
+	d.resetMMU()
 }
 
-// resetMMUs discards every volatile translation cache (power loss).
-func (d *Device) resetMMUs() {
+// resetMMU discards the volatile translation cache (power loss).
+func (d *Device) resetMMU() {
 	d.mmu = pagetable.NewMMU(d.cfg.MMUEntries, d.cfg.PTLookup)
-	if d.mmus != nil {
-		d.mmus = newShardMMUs(d.cfg)
-	}
 }
 
 // AccessError reports a host access the device rejected before any
@@ -827,7 +712,7 @@ func (d *Device) AdvanceTo(t sim.Time) {
 // pagetable.MMU.TranslateRun — and returns that count with the
 // translation latency of each.
 func (d *Device) translate(page uint32, max int) (int, sim.Duration) {
-	n, cost := d.mmuFor(page).TranslateRun(page, max)
+	n, cost := d.mmu.TranslateRun(page, max)
 	if cost == 0 {
 		d.counters.MMUHits += int64(n)
 	} else {
@@ -857,7 +742,7 @@ func (d *Device) translate(page uint32, max int) (int, sim.Duration) {
 func (d *Device) setFlash(lpn, ppn uint32) {
 	d.tierEnsure(lpn)
 	d.table.MapFlash(lpn, ppn)
-	d.mmuFor(lpn).Update(lpn)
+	d.mmu.Update(lpn)
 	d.tierUpdate(lpn)
 }
 
@@ -866,7 +751,7 @@ func (d *Device) setFlash(lpn, ppn uint32) {
 func (d *Device) setSRAM(lpn uint32) {
 	d.tierEnsure(lpn)
 	d.table.MapSRAM(lpn)
-	d.mmuFor(lpn).Update(lpn)
+	d.mmu.Update(lpn)
 	d.tierUpdate(lpn)
 }
 
@@ -875,7 +760,7 @@ func (d *Device) setSRAM(lpn uint32) {
 func (d *Device) clearMapping(lpn uint32) {
 	d.tierEnsure(lpn)
 	d.table.Unmap(lpn)
-	d.mmuFor(lpn).Invalidate(lpn)
+	d.mmu.Invalidate(lpn)
 	d.tierUpdate(lpn)
 }
 
@@ -906,37 +791,6 @@ func (d *Device) tierDrain() {
 // MapTier returns the two-tier page table, nil when Config.MapTier is
 // off.
 func (d *Device) MapTier() *maptier.Tier { return d.mt }
-
-// newShardMMUs builds the per-shard translation caches for the
-// parallel service path. Each shard carries a full-size cache: the
-// lock-decomposed controller replicates the MMU block per shard so
-// concurrent lanes never share a lookup path, the way each memory
-// channel of a multi-ported controller carries its own TLB. (Dividing
-// one cache across shards would instead partition the capacity
-// unevenly against the workload's skew and cost hits relative to the
-// serial controller.)
-func newShardMMUs(cfg Config) []*pagetable.MMU {
-	mmus := make([]*pagetable.MMU, cfg.PageTableShards)
-	for i := range mmus {
-		mmus[i] = pagetable.NewMMU(cfg.MMUEntries, cfg.PTLookup)
-	}
-	return mmus
-}
-
-// mmuFor returns the translation cache responsible for a logical page:
-// the single device MMU normally, the page's shard MMU under
-// ParallelService. Every MMU access in the controller routes through
-// here so the two modes stay consistent.
-func (d *Device) mmuFor(page uint32) *pagetable.MMU {
-	if d.mmus == nil {
-		return d.mmu
-	}
-	return d.mmus[d.table.ShardOf(page)]
-}
-
-// ParallelEnabled reports whether the lock-decomposed parallel service
-// path is configured on this device.
-func (d *Device) ParallelEnabled() bool { return d.rlocks != nil }
 
 // Suspensions returns the total number of background-operation
 // suspensions across all op kinds — the host engine's adaptive depth
@@ -1109,7 +963,7 @@ func (d *Device) readRun(page uint32, off int, p []byte) (int, sim.Duration) {
 	if d.quiescent() {
 		n = words(len(p))
 	}
-	loc, mapped := d.table.LookupOwned(page)
+	loc, mapped := d.table.Lookup(page)
 	var chain *pagetable.DiffEntry
 	if d.dir != nil && mapped && !loc.InSRAM {
 		// The guard on loc.PPN keeps a chain suppressed while a
@@ -1203,7 +1057,7 @@ func (d *Device) writeRun(page uint32, off int, p []byte) (int, sim.Duration) {
 		// one wide bank transfer.
 		d.waitForFrame()
 		srcBank := -1
-		if loc, ok := d.table.LookupOwned(page); ok && !loc.InSRAM {
+		if loc, ok := d.table.Lookup(page); ok && !loc.InSRAM {
 			srcBank = d.bankOf(loc.PPN)
 		}
 		frame = d.copyOnWrite(page)
@@ -1215,7 +1069,6 @@ func (d *Device) writeRun(page uint32, off int, p []byte) (int, sim.Duration) {
 			// The in-flight Flash copy is stale the moment this write
 			// lands; it will be invalidated when the program finishes.
 			frame.Dirtied = true
-			d.syncFlushTarget(page)
 		}
 	}
 	d.completeAccess(sim.Duration(n)*100*sim.Nanosecond, stats.Writing) // SRAM write cycles
@@ -1230,19 +1083,6 @@ func (d *Device) writeRun(page uint32, off int, p []byte) (int, sim.Duration) {
 	return len(p), total
 }
 
-// syncFlushTarget joins any worker-lane payload copy still reading the
-// SRAM frame of an in-flight full-page flush of lpn, so the host write
-// about to mutate the frame cannot race the chip transfer. The deferred
-// job holds a reference to frame.Data itself; the Flash image must
-// capture the pre-write bytes, exactly as the serial path does.
-// Diff-policy flushes snapshot their payloads at expand time and never
-// alias the frame, so only flushPPN reservations matter here.
-func (d *Device) syncFlushTarget(lpn uint32) {
-	if ppn, ok := d.flushPPN[lpn]; ok {
-		d.arr.SyncPending(ppn)
-	}
-}
-
 // copyOnWrite moves a page's current contents into a fresh SRAM frame
 // and atomically retargets the page table (§3.1). The old Flash copy
 // is invalidated — unless an open transaction needs it as a shadow.
@@ -1253,7 +1093,7 @@ func (d *Device) syncFlushTarget(lpn uint32) {
 // page, which the recovery sweep reclaims. The opposite order would
 // open a window with no copy of the page reachable at all.
 func (d *Device) copyOnWrite(page uint32) *sram.Frame {
-	loc, mapped := d.table.LookupOwned(page)
+	loc, mapped := d.table.Lookup(page)
 	hasFlash := mapped && !loc.InSRAM
 	var payload []byte
 	home := d.eng.Home(page, hasFlash, loc.PPN)

@@ -451,7 +451,7 @@ func (d *Device) shadowHoldsBase(lpn, ppn uint32) bool {
 func (d *Device) commitShadowBase(lpn, ppn uint32) {
 	if d.dir != nil {
 		if e := d.dir.Entry(lpn); e != nil && e.Base == ppn {
-			if loc, ok := d.table.LookupOwned(lpn); ok && loc.InSRAM {
+			if loc, ok := d.table.Lookup(lpn); ok && loc.InSRAM {
 				d.dir.SetKeptBase(lpn, true)
 				return
 			}
@@ -474,7 +474,7 @@ func (d *Device) consolidateForClean(logical, oldPPN uint32) ([]byte, func(newPP
 	if e == nil || e.Base != oldPPN || len(e.Chain) == 0 {
 		return nil, nil, false
 	}
-	if loc, ok := d.table.LookupOwned(logical); !ok || loc.InSRAM || loc.PPN != oldPPN {
+	if loc, ok := d.table.Lookup(logical); !ok || loc.InSRAM || loc.PPN != oldPPN {
 		return nil, nil, false
 	}
 	payload, _ := d.mergedPage(logical, oldPPN)

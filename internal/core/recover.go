@@ -100,7 +100,7 @@ func (d *Device) RecoverDiffFlushes() (discarded, dropped int, err error) {
 	}
 	var fix, drop []uint32
 	d.dir.Entries(func(lpn uint32, e *pagetable.DiffEntry) {
-		loc, ok := d.table.LookupOwned(lpn)
+		loc, ok := d.table.Lookup(lpn)
 		switch {
 		case e.KeptBase && ok && !loc.InSRAM && loc.PPN == e.Base:
 			fix = append(fix, lpn)
@@ -146,7 +146,7 @@ func (d *Device) ClearStrayFlushing() int {
 func (d *Device) SweepOrphans() int {
 	claimed := make(map[uint32]bool)
 	for lpn := 0; lpn < d.table.Len(); lpn++ {
-		if loc, ok := d.table.LookupOwned(uint32(lpn)); ok && !loc.InSRAM {
+		if loc, ok := d.table.Lookup(uint32(lpn)); ok && !loc.InSRAM {
 			claimed[loc.PPN] = true
 		}
 	}

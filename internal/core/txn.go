@@ -61,7 +61,7 @@ func (d *Device) captureShadow(page uint32, frame *sram.Frame) (invalidateOld bo
 	if _, have := d.shadows[page]; have {
 		return true
 	}
-	loc, mapped := d.table.LookupOwned(page)
+	loc, mapped := d.table.Lookup(page)
 	switch {
 	case frame != nil:
 		// Current copy is the buffered frame: save a pre-image.
@@ -162,7 +162,7 @@ func (d *Device) discardCurrent(lpn uint32, keep uint32) {
 		}
 		return
 	}
-	if loc, ok := d.table.LookupOwned(lpn); ok && !loc.InSRAM && loc.PPN != keep {
+	if loc, ok := d.table.Lookup(lpn); ok && !loc.InSRAM && loc.PPN != keep {
 		d.arr.Invalidate(loc.PPN)
 	}
 }
@@ -194,7 +194,7 @@ func (d *Device) restorePreimage(lpn uint32, pre []byte) {
 	// cleaner's free-space argument intact, and costs nothing on a
 	// crash: the pre-image is battery-backed, so recovery's retried
 	// rollback simply programs it again.
-	loc, ok := d.table.LookupOwned(lpn)
+	loc, ok := d.table.Lookup(lpn)
 	if ok && !loc.InSRAM {
 		d.arr.Invalidate(loc.PPN)
 		d.table.Unmap(lpn)
@@ -249,7 +249,7 @@ func (d *Device) preloadPage(page uint32, off int, data []byte) error {
 	}
 	pageSize := d.cfg.Geometry.PageSize
 	buf := make([]byte, pageSize)
-	loc, mapped := d.table.LookupOwned(page)
+	loc, mapped := d.table.Lookup(page)
 	if mapped {
 		if old, _ := d.mergedPage(page, loc.PPN); old != nil {
 			copy(buf, old)
@@ -290,7 +290,7 @@ func (d *Device) Churn(n int, seed uint64) {
 		if d.buf.Lookup(page) != nil {
 			continue // buffered pages are already "newer" than Flash
 		}
-		loc, mapped := d.table.LookupOwned(page)
+		loc, mapped := d.table.Lookup(page)
 		if mapped {
 			if old, _ := d.mergedPage(page, loc.PPN); old != nil {
 				copy(buf, old)
@@ -330,7 +330,7 @@ func (d *Device) CheckConsistency() error {
 	}
 	reachable := make(map[uint32]uint32) // ppn -> expected logical owner
 	for lpn := 0; lpn < d.table.Len(); lpn++ {
-		loc, ok := d.table.LookupOwned(uint32(lpn))
+		loc, ok := d.table.Lookup(uint32(lpn))
 		if !ok {
 			continue
 		}
@@ -366,7 +366,7 @@ func (d *Device) CheckConsistency() error {
 				return
 			}
 			if e.KeptBase {
-				if loc, ok := d.table.LookupOwned(lpn); !ok || !loc.InSRAM {
+				if loc, ok := d.table.Lookup(lpn); !ok || !loc.InSRAM {
 					derr = fmt.Errorf("page %d keeps diff base %d but is not buffered", lpn, e.Base)
 					return
 				}
@@ -409,7 +409,7 @@ func (d *Device) CheckConsistency() error {
 	}
 	var bad error
 	d.buf.Frames(func(f *sram.Frame) bool {
-		loc, ok := d.table.LookupOwned(f.Logical)
+		loc, ok := d.table.Lookup(f.Logical)
 		if !ok || !loc.InSRAM {
 			bad = fmt.Errorf("page %d is buffered but its table entry is %+v (mapped=%v)", f.Logical, loc, ok)
 		}

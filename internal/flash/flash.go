@@ -21,29 +21,10 @@ package flash
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"envy/internal/fault"
 	"envy/internal/sim"
 )
-
-// Lanes is a per-bank worker-lane executor (internal/sched.Pool): jobs
-// submitted to one lane run in FIFO order, jobs on distinct lanes may
-// run concurrently on worker OS threads. The array uses it to move
-// page payloads — the physical work the simulated banks perform — off
-// the control thread: state transitions, ownership, counters, and
-// crash points all stay serial and eager, so the simulated outcome is
-// bit-identical at any worker count; only the backing-store memcpys
-// ride the lanes, joined (Sync) before any serial read or overwrite.
-type Lanes interface {
-	// Exec appends a job to lane's FIFO queue; n is the payload size
-	// moved, for accounting.
-	Exec(lane int, n int, job func())
-	// Sync blocks until lane is quiescent.
-	Sync(lane int)
-	// SyncAll blocks until every lane is quiescent.
-	SyncAll()
-}
 
 // PageState is the lifecycle state of one physical page.
 type PageState uint8
@@ -223,18 +204,6 @@ type Array struct {
 	// cross-check the wear accounting (the two are updated at the same
 	// site today, but the checker guards every future refactor).
 	erases int64
-
-	// lanes, when set, carries payload memcpys on per-bank worker
-	// lanes. pendW counts deferred writes still in flight per physical
-	// page (readers join the page's bank lane while nonzero); segBusy
-	// counts in-flight jobs touching each segment as source or
-	// destination (Erase joins all lanes while nonzero, so recycled
-	// backing bytes are never overwritten under a pending reader).
-	// Both are manipulated with atomics: workers decrement them from
-	// lane threads.
-	lanes   Lanes
-	pendW   []int32
-	segBusy []int32
 }
 
 // Option configures an Array.
@@ -322,10 +291,7 @@ func (a *Array) Owner(ppn uint32) uint32 {
 
 // Page returns the stored payload of a Valid physical page. It returns
 // nil if the array is dataless. The returned slice aliases the array's
-// storage; callers must not modify it. With worker lanes installed, a
-// read of a page whose deferred program is still in flight joins that
-// bank's lane first, so the bytes observed are always the programmed
-// ones.
+// storage; callers must not modify it.
 func (a *Array) Page(ppn uint32) []byte {
 	seg, page := a.checkPPN(ppn)
 	s := &a.segs[seg]
@@ -335,47 +301,7 @@ func (a *Array) Page(ppn uint32) []byte {
 	if a.dataless || s.data == nil {
 		return nil
 	}
-	if a.lanes != nil && atomic.LoadInt32(&a.pendW[ppn]) > 0 {
-		a.lanes.Sync(a.geo.BankOf(seg))
-	}
 	return s.data[page*a.geo.PageSize : (page+1)*a.geo.PageSize]
-}
-
-// SetLanes installs (or, with nil, removes) the per-bank worker lanes
-// that carry payload memcpys. A dataless array has no payloads to
-// move and ignores the installation. Must be called before any lane
-// jobs could be outstanding (device construction).
-func (a *Array) SetLanes(l Lanes) {
-	if a.dataless {
-		return
-	}
-	a.lanes = l
-	if l != nil && a.pendW == nil {
-		a.pendW = make([]int32, a.geo.Pages())
-		a.segBusy = make([]int32, a.geo.Segments)
-	}
-}
-
-// SyncPending joins the lane still applying a deferred program to ppn,
-// if any. The controller calls it before mutating memory a lane job
-// reads (a flushing SRAM frame being re-dirtied or recycled).
-func (a *Array) SyncPending(ppn uint32) {
-	if a.lanes == nil {
-		return
-	}
-	seg, _ := a.checkPPN(ppn)
-	if atomic.LoadInt32(&a.pendW[ppn]) > 0 {
-		a.lanes.Sync(a.geo.BankOf(seg))
-	}
-}
-
-// SyncLanes joins every worker lane (no-op without lanes). Crash
-// latching and whole-device checks call it so every deferred payload
-// is applied before serial code tears or inspects the array.
-func (a *Array) SyncLanes() {
-	if a.lanes != nil {
-		a.lanes.SyncAll()
-	}
 }
 
 // Program writes a page: it marks the physical page Valid, records the
@@ -384,38 +310,14 @@ func (a *Array) SyncLanes() {
 // violation and panics, because it indicates a controller bug rather
 // than a runtime condition.
 func (a *Array) Program(ppn uint32, logical uint32, payload []byte) {
-	a.program(ppn, logical, payload, a.geo.PageSize, -1)
+	a.program(ppn, logical, payload, a.geo.PageSize)
 }
 
 // CopyPage programs dst with the payload of the Valid page src — the
 // cleaner's relocation primitive. State accounting, crash points, and
-// counters are identical to Program(dst, logical, Page(src)); with
-// worker lanes the byte copy itself runs as a job on dst's bank lane,
-// with src's segment pinned against erase until the job lands and a
-// join of src's producer lane when the source bytes are themselves
-// still in flight on a different bank.
+// counters are identical to Program(dst, logical, Page(src)).
 func (a *Array) CopyPage(dst, src, logical uint32) {
-	sseg, spage := a.checkPPN(src)
-	ss := &a.segs[sseg]
-	if ss.state[spage] != Valid {
-		panic(fmt.Sprintf("flash: copying from %s page %d", ss.state[spage], src))
-	}
-	if a.dataless || ss.data == nil {
-		a.program(dst, logical, nil, a.geo.PageSize, -1)
-		return
-	}
-	payload := ss.data[spage*a.geo.PageSize : (spage+1)*a.geo.PageSize]
-	if a.lanes == nil {
-		a.program(dst, logical, payload, a.geo.PageSize, -1)
-		return
-	}
-	dseg, _ := a.geo.Split(dst)
-	if atomic.LoadInt32(&a.pendW[src]) > 0 && a.geo.BankOf(sseg) != a.geo.BankOf(dseg) {
-		// The source bytes are still being produced on another lane;
-		// same-bank producers are ordered by lane FIFO instead.
-		a.lanes.Sync(a.geo.BankOf(sseg))
-	}
-	a.program(dst, logical, payload, a.geo.PageSize, sseg)
+	a.program(dst, logical, a.Page(src), a.geo.PageSize)
 }
 
 // ProgramUsed is Program for partially filled pages: used is the
@@ -427,17 +329,12 @@ func (a *Array) ProgramUsed(ppn uint32, logical uint32, payload []byte, used int
 	if used < 0 || used > a.geo.PageSize {
 		panic(fmt.Sprintf("flash: programming page %d with %d used bytes (page size %d)", ppn, used, a.geo.PageSize))
 	}
-	a.program(ppn, logical, payload, used, -1)
+	a.program(ppn, logical, payload, used)
 }
 
-// program performs the eager half of a page program — state, counters,
-// crash points — then applies the payload: inline without lanes, as a
-// bank-lane job with them. pinSeg, when non-negative, is a segment the
-// job reads from (CopyPage), held against erase until the job lands.
-// The payload slice must stay unmodified until the job is joined; the
-// controller guards the one mutable source (a flushing SRAM frame)
-// with SyncPending at its mutation sites.
-func (a *Array) program(ppn uint32, logical uint32, payload []byte, used int, pinSeg int) {
+// program is the shared body of Program, CopyPage and ProgramUsed:
+// state, counters, crash point, then the payload.
+func (a *Array) program(ppn uint32, logical uint32, payload []byte, used int) {
 	seg, page := a.checkPPN(ppn)
 	s := &a.segs[seg]
 	if s.state[page] != Free {
@@ -445,9 +342,6 @@ func (a *Array) program(ppn uint32, logical uint32, payload []byte, used int, pi
 	}
 	if a.inj != nil {
 		if tear, crash := a.inj.AtProgram(a.geo.PageSize); crash {
-			// The torn image must be built from settled bytes: the
-			// payload may alias a page another lane is still producing.
-			a.SyncLanes()
 			a.tearProgram(s, page, payload, tear)
 			panic(&fault.Crash{Point: fault.PointProgram, PPN: ppn})
 		}
@@ -464,24 +358,7 @@ func (a *Array) program(ppn uint32, logical uint32, payload []byte, used int, pi
 	if s.data == nil {
 		s.data = make([]byte, a.geo.PagesPerSegment*a.geo.PageSize)
 	}
-	dst := s.data[page*a.geo.PageSize : (page+1)*a.geo.PageSize]
-	if a.lanes == nil {
-		copyPad(dst, payload)
-		return
-	}
-	atomic.AddInt32(&a.pendW[ppn], 1)
-	atomic.AddInt32(&a.segBusy[seg], 1)
-	if pinSeg >= 0 {
-		atomic.AddInt32(&a.segBusy[pinSeg], 1)
-	}
-	a.lanes.Exec(a.geo.BankOf(seg), a.geo.PageSize, func() {
-		copyPad(dst, payload)
-		atomic.AddInt32(&a.pendW[ppn], -1)
-		atomic.AddInt32(&a.segBusy[seg], -1)
-		if pinSeg >= 0 {
-			atomic.AddInt32(&a.segBusy[pinSeg], -1)
-		}
-	})
+	copyPad(s.data[page*a.geo.PageSize:(page+1)*a.geo.PageSize], payload)
 }
 
 // copyPad fills dst with payload, zero-padding the tail (Program
@@ -517,13 +394,6 @@ func (a *Array) Erase(seg int) {
 	s := &a.segs[seg]
 	if s.live != 0 {
 		panic(fmt.Sprintf("flash: erasing segment %d with %d live pages", seg, s.live))
-	}
-	if a.lanes != nil && atomic.LoadInt32(&a.segBusy[seg]) != 0 {
-		// In-flight jobs still read from or write into this segment's
-		// backing bytes (cleaning copies out of the victim); they must
-		// land before the segment's pages can be recycled — the next
-		// programs into it would overwrite bytes under a reader.
-		a.lanes.SyncAll()
 	}
 	if a.inj != nil && a.inj.AtErase() {
 		a.halfErase(s)
@@ -613,7 +483,6 @@ func (a *Array) halfErase(s *segment) {
 // steps, the controller calls this to put the page into the state the
 // hardware would actually hold. seed scrambles which bits made it.
 func (a *Array) TearInFlight(ppn uint32, seed uint64) {
-	a.SyncLanes() // the torn image scrambles settled bytes
 	seg, page := a.checkPPN(ppn)
 	s := &a.segs[seg]
 	if s.state[page] != Valid {

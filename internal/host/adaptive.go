@@ -80,7 +80,7 @@ func (e *Engine) effectiveDepth() int {
 	return e.depth
 }
 
-// adaptTick runs once per completion (from finish) and, every
+// adaptTick runs once per completion (from service) and, every
 // adaptWindow completions, moves the effective depth one step against
 // the observed suspension rate.
 func (e *Engine) adaptTick() {

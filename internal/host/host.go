@@ -35,7 +35,6 @@ package host
 import (
 	"fmt"
 
-	"envy/internal/rlock"
 	"envy/internal/sim"
 	"envy/internal/stats"
 )
@@ -112,20 +111,6 @@ type Engine struct {
 	gauge    stats.DepthGauge
 	served   int64
 
-	// par, when set via SetParallel, is the backend's lock-decomposed
-	// parallel service surface: the pump then dispatches batches of
-	// disjoint-footprint requests to real OS threads (parallel.go). Nil
-	// keeps the one-at-a-time service.
-	par ParallelBackend
-
-	// Batch dispatch accounting (parallel path only); fps is the
-	// collectBatch scratch of admitted footprints, index-aligned with
-	// the batch under construction.
-	batches  int64
-	batched  int64
-	maxBatch int
-	fps      []*rlock.Footprint
-
 	// Adaptive depth controller state (adaptive.go); effDepth is the
 	// current admission bound in [1, depth] when adaptive is on.
 	adaptive bool
@@ -173,16 +158,21 @@ func (e *Engine) MeanDepth() float64 { return e.gauge.Mean(e.be.Now()) }
 func (e *Engine) MaxDepth() int { return e.gauge.Max() }
 
 // ResetStats clears the engine's histograms and depth gauge (queued
-// requests are unaffected).
+// requests are unaffected). Reset the backend's statistics first: the
+// adaptive controller re-bases on its suspension counter here.
 func (e *Engine) ResetStats() {
 	e.lat.Reset()
 	e.readLat.Reset()
 	e.writeLat.Reset()
 	e.gauge.Reset()
 	e.served = 0
-	e.batches = 0
-	e.batched = 0
-	e.maxBatch = 0
+	if e.adaptive {
+		// Re-base the depth controller on the counter the caller has just
+		// zeroed (core.Device.ResetStats), or its next window differences
+		// against the warm-up's total; window keeps its phase.
+		e.minEff = e.effDepth
+		e.lastSusp = e.src.Suspensions()
+	}
 }
 
 // Submit enqueues r, stamping its arrival at the current instant. If
@@ -196,9 +186,8 @@ func (e *Engine) Submit(r *Request) { e.SubmitAll(r) }
 // SubmitAll enqueues a group of requests that arrive at the same
 // instant — N initiators issuing simultaneously — and then services the
 // queue once. Unlike sequential Submit calls, none of the group is
-// serviced before all are queued, so a parallel engine can admit the
-// whole group as one batch. Back-pressure applies per request, exactly
-// as in Submit.
+// serviced before all are queued. Back-pressure applies per request,
+// exactly as in Submit.
 func (e *Engine) SubmitAll(rs ...*Request) {
 	for _, r := range rs {
 		if r.completed {
@@ -298,10 +287,6 @@ func (e *Engine) pump() {
 		}
 		return
 	}
-	if e.par != nil {
-		e.pumpParallel()
-		return
-	}
 	for {
 		r := e.nextServiceable()
 		if r == nil {
@@ -347,7 +332,8 @@ func overlap(a, b *Request) bool {
 	return a.firstPage <= b.lastPage && b.firstPage <= a.lastPage
 }
 
-// service runs one request through the controller, completing it.
+// service runs one request through the controller and completes it:
+// dequeue, histograms, depth gauge, completion callback.
 func (e *Engine) service(r *Request) {
 	r.Start = e.be.Now()
 	if r.Write {
@@ -356,14 +342,6 @@ func (e *Engine) service(r *Request) {
 		_, r.Err = e.be.ReadErr(r.Data, r.Addr)
 	}
 	r.Completion = e.be.Now()
-	e.finish(r)
-}
-
-// finish records a request whose backend execution is done (timestamps
-// and Err already set): dequeue, histograms, depth gauge, completion
-// callback. Shared by the serial service path and the parallel batch
-// path.
-func (e *Engine) finish(r *Request) {
 	r.completed = true
 	for i, q := range e.queue {
 		if q == r {

@@ -349,3 +349,51 @@ func TestMeanDepthTracksQueue(t *testing.T) {
 		t.Errorf("MaxDepth = %d, want 1", e.MaxDepth())
 	}
 }
+
+// suspBE is fakeBE with the suspension counter the adaptive controller
+// reads: every access adds perOp suspensions.
+type suspBE struct {
+	*fakeBE
+	susp, perOp int64
+}
+
+func (b *suspBE) ReadErr(p []byte, addr uint64) (sim.Duration, error) {
+	b.susp += b.perOp
+	return b.fakeBE.ReadErr(p, addr)
+}
+
+func (b *suspBE) Suspensions() int64 { return b.susp }
+
+// TestResetStatsRebasesAdaptive pins the adaptive controller across a
+// statistics reset: the backend zeroes its suspension counter, so the
+// engine must re-base its differencing point and its throttle low-water
+// mark, or the next window sees a negative rate (a spurious step up)
+// and MinEffectiveDepth keeps reporting the warm-up.
+func TestResetStatsRebasesAdaptive(t *testing.T) {
+	be := &suspBE{fakeBE: newFake()}
+	e := New(be, 4, ps)
+	if !e.EnableAdaptive() {
+		t.Fatal("backend exposes Suspensions; EnableAdaptive must accept it")
+	}
+	window := func(perOp int64) {
+		be.perOp = perOp
+		for i := 0; i < adaptWindow; i++ {
+			e.Submit(rd(i))
+		}
+	}
+	window(2) // rate 2 > adaptHigh: 4 → 3
+	window(2) // 3 → 2
+	window(0) // rate 0 < adaptLow: relax to 3
+	if e.EffectiveDepth() != 3 || e.MinEffectiveDepth() != 2 {
+		t.Fatalf("warm-up left depth %d (min %d), want 3 (min 2)", e.EffectiveDepth(), e.MinEffectiveDepth())
+	}
+	be.susp = 0 // the device's ResetStats, which both callers run first
+	e.ResetStats()
+	if e.MinEffectiveDepth() != e.EffectiveDepth() {
+		t.Errorf("after ResetStats MinEffectiveDepth = %d, want the current depth %d", e.MinEffectiveDepth(), e.EffectiveDepth())
+	}
+	window(1) // rate 1 sits between the thresholds: the depth must hold
+	if got := e.EffectiveDepth(); got != 3 {
+		t.Errorf("first window after ResetStats moved the depth to %d, want 3 held", got)
+	}
+}

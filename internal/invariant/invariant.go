@@ -79,14 +79,6 @@ func CheckDevice(d *core.Device) error {
 	if d.Crashed() {
 		return fmt.Errorf("invariant: device is crashed; run recovery before checking")
 	}
-	// Join any in-flight worker-lane payload jobs and verify the pool
-	// itself is quiescent before reading payloads below.
-	d.Array().SyncLanes()
-	if p := d.Pool(); p != nil {
-		if err := p.SelfCheck(); err != nil {
-			return err
-		}
-	}
 	if in := d.Engine().Intent(); in.Kind != cleaner.IntentNone {
 		return fmt.Errorf("invariant: cleaner %v intent still open (src %d, dst %d)", in.Kind, in.Src, in.Dst)
 	}

@@ -167,10 +167,6 @@ type Tier struct {
 
 	// arr is the translation Flash region. It always stores payloads —
 	// the mapping pages are the payload — even on dataless devices.
-	// It deliberately never gets worker lanes (flash.SetLanes): a
-	// writeback's source frame is recycled the moment it is evicted, so
-	// deferring the payload copy would force a lane join on every
-	// eviction — all sync, no overlap. Translation programs stay eager.
 	arr *flash.Array
 
 	// dir is the battery-backed mapping directory: mapping-page index

@@ -7,20 +7,10 @@
 // Flash mapped — the ~10% SRAM overhead the paper budgets. A logical
 // page resolves either to a physical Flash page or to the SRAM write
 // buffer (after a copy-on-write and before the flush).
-//
-// The table is sharded by contiguous logical-page range, each shard
-// behind its own read-write lock, so concurrent host initiators can
-// translate different regions in parallel without the device mutex.
-// Sharding is a wall-clock concern only: it never changes simulated
-// timing, so any shard count produces bit-identical results. Deadlock
-// discipline: code that acquires more than one shard lock must do so
-// in ascending shard order (enforced by the envyvet shardlock
-// analyzer).
 package pagetable
 
 import (
 	"fmt"
-	"sync"
 
 	"envy/internal/sim"
 )
@@ -42,84 +32,44 @@ type Location struct {
 	PPN    uint32 // physical Flash page, when !InSRAM
 }
 
-// shard is one contiguous logical-page range of the table with its own
-// lock.
-type shard struct {
-	mu      sync.RWMutex
+// Table maps logical page numbers to Locations: one encoded word per
+// logical page (the paper's hardware has one table). Not safe for
+// concurrent use; the controller that owns it is single-threaded.
+type Table struct {
 	entries []uint32
 }
 
-// Table maps logical page numbers to Locations.
-type Table struct {
-	shards     []shard
-	shardPages int // logical pages per shard (last shard may be short)
-	n          int
-}
-
-// New returns a table for n logical pages, all initially unmapped, as
-// a single shard (the paper's hardware has one table).
-func New(n int) *Table { return NewSharded(n, 1) }
-
-// NewSharded returns a table for n logical pages split into the given
-// number of range shards. A non-positive or oversized shard count is
-// clamped.
-func NewSharded(n, shards int) *Table {
+// New returns a table for n logical pages, all initially unmapped.
+func New(n int) *Table {
 	if n <= 0 {
 		panic(fmt.Sprintf("pagetable: need at least 1 logical page, got %d", n))
 	}
-	if shards < 1 {
-		shards = 1
+	entries := make([]uint32, n)
+	for i := range entries {
+		entries[i] = unmappedEntry
 	}
-	if shards > n {
-		shards = n
-	}
-	per := (n + shards - 1) / shards
-	t := &Table{shards: make([]shard, shards), shardPages: per, n: n}
-	left := n
-	for i := range t.shards {
-		size := per
-		if size > left {
-			size = left
-		}
-		left -= size
-		entries := make([]uint32, size)
-		for j := range entries {
-			entries[j] = unmappedEntry
-		}
-		t.shards[i].entries = entries
-	}
-	return t
+	return &Table{entries: entries}
 }
+
+// NewSharded returns New(n); the shard count is ignored.
+//
+// Deprecated: the sharded table was removed in PR 20. This shim exists
+// only because the frozen bench/ (bench/probes.go,
+// pagetable.lookup_sharded8_ref) compiles against it; the benchmark PR
+// that drops that probe drops this too.
+func NewSharded(n, _ int) *Table { return New(n) }
 
 // Len returns the number of logical pages.
-func (t *Table) Len() int { return t.n }
-
-// Shards returns the number of range shards.
-func (t *Table) Shards() int { return len(t.shards) }
-
-// ShardOf returns the shard index owning a logical page.
-func (t *Table) ShardOf(logical uint32) int { return int(logical) / t.shardPages }
-
-// locate returns the shard and intra-shard index for a logical page.
-func (t *Table) locate(logical uint32) (*shard, uint32) {
-	s := &t.shards[int(logical)/t.shardPages]
-	return s, logical % uint32(t.shardPages)
-}
+func (t *Table) Len() int { return len(t.entries) }
 
 // SRAMBytes returns the battery-backed SRAM the table would occupy in
 // hardware, for the cost accounting in §3.3.
-func (t *Table) SRAMBytes() int64 { return int64(t.n) * EntryBytes }
+func (t *Table) SRAMBytes() int64 { return int64(len(t.entries)) * EntryBytes }
 
 // Lookup resolves a logical page. ok is false if the page has never
-// been mapped. Safe for concurrent use: it takes only the owning
-// shard's read lock, so initiators translating different ranges never
-// contend.
+// been mapped.
 func (t *Table) Lookup(logical uint32) (loc Location, ok bool) {
-	s, i := t.locate(logical)
-	s.mu.RLock()
-	e := s.entries[i]
-	s.mu.RUnlock()
-	return decode(e)
+	return decode(t.entries[logical])
 }
 
 // Raw returns the encoded table entry for a logical page, exactly as
@@ -128,25 +78,7 @@ func (t *Table) Lookup(logical uint32) (loc Location, ok bool) {
 // compares them against the cached copies. The encoding is otherwise
 // private; callers must treat the value as a token whose only defined
 // relation is equality with other Raw results for the same state.
-func (t *Table) Raw(logical uint32) uint32 {
-	s, i := t.locate(logical)
-	s.mu.RLock()
-	e := s.entries[i]
-	s.mu.RUnlock()
-	return e
-}
-
-// LookupOwned resolves a logical page without touching the shard's
-// read-write lock. Callers must already exclude every writer of the
-// shard: the controller, whose table mutations all run under the
-// device mutex it is called with, or an execution lane, which holds
-// every shard in its footprint through an admission-time resource lock
-// (internal/rlock) for the whole batch. The RWMutex round-trip — two
-// atomics per host word on the hot path — buys nothing there.
-func (t *Table) LookupOwned(logical uint32) (loc Location, ok bool) {
-	s, i := t.locate(logical)
-	return decode(s.entries[i])
-}
+func (t *Table) Raw(logical uint32) uint32 { return t.entries[logical] }
 
 func decode(e uint32) (Location, bool) {
 	if e == unmappedEntry {
@@ -165,52 +97,22 @@ func (t *Table) MapFlash(logical, ppn uint32) {
 	if ppn&sramBit != 0 {
 		panic(fmt.Sprintf("pagetable: physical page %d overflows the entry encoding", ppn))
 	}
-	s, i := t.locate(logical)
-	s.mu.Lock()
-	s.entries[i] = ppn
-	s.mu.Unlock()
+	t.entries[logical] = ppn
 }
 
 // MapSRAM points a logical page at the write buffer.
-func (t *Table) MapSRAM(logical uint32) {
-	s, i := t.locate(logical)
-	s.mu.Lock()
-	s.entries[i] = sramBit
-	s.mu.Unlock()
-}
+func (t *Table) MapSRAM(logical uint32) { t.entries[logical] = sramBit }
 
 // Unmap removes a logical page's mapping (used only by tests and by
 // TRIM-like maintenance; the paper's device never unmaps).
-func (t *Table) Unmap(logical uint32) {
-	s, i := t.locate(logical)
-	s.mu.Lock()
-	s.entries[i] = unmappedEntry
-	s.mu.Unlock()
-}
+func (t *Table) Unmap(logical uint32) { t.entries[logical] = unmappedEntry }
 
-// Range calls fn for every logical page in ascending order, holding
-// each shard's read lock across its run of pages (one shard at a time,
-// in ascending shard order — the lock discipline the shardlock
-// analyzer enforces). Mutating the table from fn would self-deadlock;
-// Range is for read-only sweeps such as the invariant checker.
+// Range calls fn for every logical page in ascending order — read-only
+// sweeps such as the invariant checker.
 func (t *Table) Range(fn func(logical uint32, loc Location, ok bool)) {
-	base := uint32(0)
-	for si := range t.shards {
-		s := &t.shards[si]
-		s.mu.RLock()
-		for i, e := range s.entries {
-			logical := base + uint32(i)
-			switch {
-			case e == unmappedEntry:
-				fn(logical, Location{}, false)
-			case e&sramBit != 0:
-				fn(logical, Location{InSRAM: true}, true)
-			default:
-				fn(logical, Location{PPN: e}, true)
-			}
-		}
-		s.mu.RUnlock()
-		base += uint32(len(s.entries))
+	for i, e := range t.entries {
+		loc, ok := decode(e)
+		fn(uint32(i), loc, ok)
 	}
 }
 

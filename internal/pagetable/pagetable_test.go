@@ -1,7 +1,6 @@
 package pagetable
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -84,75 +83,8 @@ func TestNewPanicsOnNonPositive(t *testing.T) {
 	New(0)
 }
 
-func TestShardedMatchesFlat(t *testing.T) {
-	// Any shard count must behave exactly like the flat table.
-	for _, shards := range []int{1, 2, 3, 7, 16, 100} {
-		flat := New(100)
-		sh := NewSharded(100, shards)
-		if sh.Len() != 100 {
-			t.Fatalf("shards=%d Len = %d, want 100", shards, sh.Len())
-		}
-		rng := sim.NewRNG(uint64(shards) + 1)
-		for i := 0; i < 1000; i++ {
-			lpn := uint32(rng.Intn(100))
-			switch rng.Intn(4) {
-			case 0:
-				ppn := uint32(rng.Intn(1 << 20))
-				flat.MapFlash(lpn, ppn)
-				sh.MapFlash(lpn, ppn)
-			case 1:
-				flat.MapSRAM(lpn)
-				sh.MapSRAM(lpn)
-			case 2:
-				flat.Unmap(lpn)
-				sh.Unmap(lpn)
-			default:
-				fl, fok := flat.Lookup(lpn)
-				sl, sok := sh.Lookup(lpn)
-				if fl != sl || fok != sok {
-					t.Fatalf("shards=%d page %d: sharded %+v/%v, flat %+v/%v",
-						shards, lpn, sl, sok, fl, fok)
-				}
-			}
-		}
-	}
-}
-
-func TestShardOf(t *testing.T) {
-	sh := NewSharded(100, 7) // 15 pages per shard, last shard short
-	if got := sh.Shards(); got != 7 {
-		t.Fatalf("Shards = %d, want 7", got)
-	}
-	prev := -1
-	counts := make([]int, sh.Shards())
-	for lpn := uint32(0); lpn < 100; lpn++ {
-		s := sh.ShardOf(lpn)
-		if s < prev {
-			t.Fatalf("ShardOf(%d) = %d went backwards from %d", lpn, s, prev)
-		}
-		prev = s
-		counts[s]++
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 100 {
-		t.Fatalf("shards cover %d pages, want 100", total)
-	}
-}
-
-func TestShardClamps(t *testing.T) {
-	if got := NewSharded(4, 100).Shards(); got != 4 {
-		t.Errorf("oversized shard count clamped to %d, want 4", got)
-	}
-	if got := NewSharded(4, 0).Shards(); got != 1 {
-		t.Errorf("zero shard count clamped to %d, want 1", got)
-	}
-}
-
 func TestRange(t *testing.T) {
-	sh := NewSharded(10, 3)
+	sh := New(10)
 	sh.MapFlash(0, 42)
 	sh.MapSRAM(5)
 	sh.MapFlash(9, 7)
@@ -172,35 +104,6 @@ func TestRange(t *testing.T) {
 			t.Fatalf("Range visited %d at position %d; order must be ascending", lpn, i)
 		}
 	}
-}
-
-func TestShardConcurrentAccess(t *testing.T) {
-	// Readers on every shard race one writer per shard; run under
-	// -race this exercises the per-shard locking.
-	sh := NewSharded(1024, 8)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				lpn := uint32(w*128 + i%128)
-				if i%3 == 0 {
-					sh.MapSRAM(lpn)
-				} else {
-					sh.MapFlash(lpn, uint32(i))
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				sh.Lookup(uint32((w*331 + i) % 1024))
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func TestMMUHitMiss(t *testing.T) {

@@ -12,15 +12,15 @@ import (
 )
 
 // Crash-point sweeps through multi-lane background windows: with
-// ParallelFlush at the bank count and the worker pool on, several
-// background operations retire at the same simulated instant, their
+// ParallelFlush at the bank count several background operations
+// retire at the same simulated instant, their
 // SRAM/flash effects only partially merged when the k-th merge
 // boundary (the gap between two same-instant completion callbacks)
 // fires. Recovery must repair the partial merge at every k: no
 // acknowledged write lost, the invariant suite green.
 
-// parwindowConfig widens the torture geometry to four banks and turns
-// the pool on, so multi-lane windows actually form. Greedy cleaning
+// parwindowConfig widens the torture geometry to four banks with one
+// flush lane each, so multi-lane windows actually form. Greedy cleaning
 // keeps the flush targets striping across banks without the hybrid
 // policy's bank stagger.
 func parwindowConfig() core.Config {
@@ -33,12 +33,11 @@ func parwindowConfig() core.Config {
 		},
 		BufferPages:   32,
 		ParallelFlush: 4,
-		BGWorkers:     4,
 	}
 }
 
-// sweepParWindow replays the workload once per plan on a pooled
-// wide-bank device, recovering and verifying after each planned crash.
+// sweepParWindow replays the workload once per plan on a wide-bank
+// device, recovering and verifying after each planned crash.
 func sweepParWindow(t *testing.T, maxK int, mkPlan func(k int64) fault.Plan) []recovery.Report {
 	t.Helper()
 	var reports []recovery.Report
@@ -51,7 +50,6 @@ func sweepParWindow(t *testing.T, maxK int, mkPlan func(k int64) fault.Plan) []r
 		model := make(map[uint64]uint32)
 		crashed := driveFixed(t, d, model, 0x9a4a11e1, 3000)
 		if !crashed {
-			d.Close()
 			break
 		}
 		rep, err := recovery.Recover(d)
@@ -63,7 +61,6 @@ func sweepParWindow(t *testing.T, maxK int, mkPlan func(k int64) fault.Plan) []r
 		if err := invariant.CheckDevice(d); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		d.Close()
 	}
 	return reports
 }
@@ -86,10 +83,9 @@ func TestParWindowMergeCrashes(t *testing.T) {
 	t.Logf("merge sweep: %d crash points recovered", len(reports))
 }
 
-// TestParWindowProgramCrashes re-runs the program-count sweep with the
-// pool on and four lanes live, pinning that deferred payload jobs are
-// settled before the torn image is built (else verifyModel would read
-// stale bytes after recovery).
+// TestParWindowProgramCrashes re-runs the program-count sweep with
+// four lanes live: a program torn while other banks' operations are in
+// flight must recover like any other.
 func TestParWindowProgramCrashes(t *testing.T) {
 	maxK := 300
 	if testing.Short() {
@@ -99,51 +95,6 @@ func TestParWindowProgramCrashes(t *testing.T) {
 		return fault.Plan{Program: k}
 	})
 	if len(reports) < 30 {
-		t.Fatalf("only %d program crash points reached under the pool", len(reports))
-	}
-}
-
-// TestParWindowMergeUnpooled pins that the merge crash point is a
-// property of the scheduler's admission order, not of the pool: the
-// same plan fires at the same boundaries with BGWorkers=0.
-func TestParWindowMergeUnpooled(t *testing.T) {
-	run := func(workers int) []recovery.Report {
-		var reports []recovery.Report
-		for k := int64(1); k <= 12; k++ {
-			cfg := parwindowConfig()
-			cfg.BGWorkers = workers
-			d, err := core.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.ArmFault(fault.Plan{Merge: k})
-			model := make(map[uint64]uint32)
-			if !driveFixed(t, d, model, 0x9a4a11e1, 3000) {
-				d.Close()
-				break
-			}
-			rep, err := recovery.Recover(d)
-			if err != nil {
-				t.Fatalf("workers=%d k=%d: recovery failed: %v", workers, k, err)
-			}
-			verifyModel(t, d, model)
-			if err := invariant.CheckDevice(d); err != nil {
-				t.Fatalf("workers=%d k=%d: %v", workers, k, err)
-			}
-			reports = append(reports, rep)
-			d.Close()
-		}
-		return reports
-	}
-	pooled := run(4)
-	serial := run(0)
-	if len(pooled) != len(serial) {
-		t.Fatalf("merge boundaries diverge: %d pooled vs %d serial", len(pooled), len(serial))
-	}
-	for k := range pooled {
-		if pooled[k] != serial[k] {
-			t.Errorf("k=%d: recovery report diverged between pooled and serial runs:\npooled %+v\nserial %+v",
-				k+1, pooled[k], serial[k])
-		}
+		t.Fatalf("only %d program crash points reached", len(reports))
 	}
 }

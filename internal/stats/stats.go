@@ -89,27 +89,6 @@ func (l *Latency) RecordN(d sim.Duration, n int64) {
 	l.buckets[l.lastI] += n
 }
 
-// Merge folds another histogram's samples into l. Merging is exactly
-// equivalent to having Recorded the other histogram's samples here:
-// counts, sums, extrema, and buckets all add, so percentile queries
-// cannot tell merged and sequentially-recorded histograms apart.
-func (l *Latency) Merge(o *Latency) {
-	if o.count == 0 {
-		return
-	}
-	if l.count == 0 || o.min < l.min {
-		l.min = o.min
-	}
-	if l.count == 0 || o.max > l.max {
-		l.max = o.max
-	}
-	l.count += o.count
-	l.sum += o.sum
-	for i := range l.buckets {
-		l.buckets[i] += o.buckets[i]
-	}
-}
-
 // Count returns the number of recorded samples.
 func (l *Latency) Count() int64 { return l.count }
 
@@ -311,25 +290,6 @@ func (c *Counters) CleaningCost() float64 {
 		return 0
 	}
 	return float64(c.CleanCopies) / float64(c.Flushes)
-}
-
-// Add accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.HostReads += other.HostReads
-	c.HostWrites += other.HostWrites
-	c.CopyOnWrites += other.CopyOnWrites
-	c.BufferHits += other.BufferHits
-	c.Flushes += other.Flushes
-	c.CleanCopies += other.CleanCopies
-	c.SegmentCleans += other.SegmentCleans
-	c.Erases += other.Erases
-	c.WearSwaps += other.WearSwaps
-	c.MMUHits += other.MMUHits
-	c.MMUMisses += other.MMUMisses
-	c.DiffRecordsWritten += other.DiffRecordsWritten
-	c.DiffUnitPrograms += other.DiffUnitPrograms
-	c.DiffMerges += other.DiffMerges
-	c.DiffPromotions += other.DiffPromotions
 }
 
 // Reset zeroes every counter.

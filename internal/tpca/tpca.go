@@ -259,107 +259,6 @@ func (b *Bank) transactionVia(eng *host.Engine, account int, delta int64) error 
 	return b.addBalanceVia(eng, branchAddr, delta)
 }
 
-// groupTxn is one transaction pending in a parallel driver's issue
-// group: its arrival instant and picked parameters, with the record
-// addresses filled in at service time.
-type groupTxn struct {
-	arrival sim.Time
-	account int
-	delta   int64
-	addrs   [3]uint64
-	done    sim.Time
-}
-
-// resolveRecords runs the three index searches of a transaction
-// (synchronous timed reads — transactions never write tree pages, so
-// tree reads need no fencing against queued record writes).
-func (b *Bank) resolveRecords(account int) ([3]uint64, error) {
-	teller := (account-1)/b.cfg.AccountsPerTeller + 1
-	branch := (teller-1)/TellersPerBranch + 1
-	var addrs [3]uint64
-	var ok bool
-	if addrs[0], ok = b.accountTree.Search(uint64(account)); !ok {
-		return addrs, fmt.Errorf("tpca: account %d not indexed", account)
-	}
-	if addrs[1], ok = b.tellerTree.Search(uint64(teller)); !ok {
-		return addrs, fmt.Errorf("tpca: teller %d not indexed", teller)
-	}
-	if addrs[2], ok = b.branchTree.Search(uint64(branch)); !ok {
-		return addrs, fmt.Errorf("tpca: branch %d not indexed", branch)
-	}
-	return addrs, nil
-}
-
-// transactGroup services a group of pending transactions with their
-// record accesses issued as simultaneous batches: all reads of a run
-// of transactions are submitted together — distinct records resolve to
-// disjoint resource footprints, so a parallel engine overlaps them on
-// execution lanes, account reads of different transactions included —
-// then the updated balances are written back the same way.
-//
-// Atomicity: two transactions touching the same balance record must
-// serialize their read-modify-write. The group is therefore split into
-// runs of transactions with pairwise-distinct record addresses; a
-// conflicting transaction starts the next run, whose reads are only
-// submitted after the previous run's writes (the engine's per-page
-// write fences then order them). Records that merely share a page stay
-// in one run — the fences keep the byte-level outcome identical to
-// sequential issue.
-func (b *Bank) transactGroup(eng *host.Engine, txns []groupTxn) error {
-	for i := 0; i < len(txns); {
-		j := i + 1
-	extend:
-		for ; j < len(txns); j++ {
-			for k := i; k < j; k++ {
-				for _, a := range txns[j].addrs {
-					for _, prev := range txns[k].addrs {
-						if a == prev {
-							break extend
-						}
-					}
-				}
-			}
-		}
-		if err := b.execRun(eng, txns[i:j]); err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
-}
-
-// execRun issues one conflict-free run: every record read of every
-// transaction submitted at once, then every write.
-func (b *Bank) execRun(eng *host.Engine, txns []groupTxn) error {
-	reads := make([]*host.Request, 0, 3*len(txns))
-	for i := range txns {
-		for _, a := range txns[i].addrs {
-			reads = append(reads, &host.Request{Addr: a, Data: make([]byte, 8)})
-		}
-	}
-	eng.SubmitAll(reads...)
-	writes := make([]*host.Request, 0, len(reads))
-	for i := range txns {
-		for r := 0; r < 3; r++ {
-			rd := reads[3*i+r]
-			eng.ServeUntilDone(rd)
-			if rd.Err != nil {
-				return rd.Err
-			}
-			v := int64(binary.LittleEndian.Uint64(rd.Data)) + txns[i].delta
-			w := &host.Request{Write: true, Addr: txns[i].addrs[r], Data: make([]byte, 8)}
-			binary.LittleEndian.PutUint64(w.Data, uint64(v))
-			writes = append(writes, w)
-		}
-	}
-	eng.SubmitAll(writes...)
-	now := b.dev.Now()
-	for i := range txns {
-		txns[i].done = now
-	}
-	return nil
-}
-
 // RecordAddrs resolves the record addresses for an account id, for
 // verification in tests.
 func (b *Bank) RecordAddrs(account int) (accountAddr, tellerAddr, branchAddr uint64) {
@@ -395,14 +294,10 @@ type Results struct {
 	HostP50, HostP95, HostP99, HostMax sim.Duration
 	HostMeanDepth                      float64
 
-	// Parallel-lane and adaptive-depth telemetry (zero unless the driver
-	// was built with NewDriverParallel / NewDriverAdaptive).
-	HostBatches        int64
-	HostBatched        int64
-	HostMaxBatch       int
+	// Adaptive-depth telemetry (the configured depth unless the driver
+	// was built with NewDriverAdaptive).
 	HostEffectiveDepth int // admission bound at run end (relaxed during drain)
 	HostMinEffDepth    int // deepest mid-run throttle the controller reached
-	FlushCleanOverlap  sim.Duration
 
 	// Suspensions counts background operations suspended by host
 	// accesses during the run (the §3.4 preemption).
@@ -414,13 +309,6 @@ type Driver struct {
 	bank *Bank
 	rng  *sim.RNG
 	eng  *host.Engine // nil: the single-outstanding legacy path
-
-	// par pipelines transactions: arrivals already due are gathered
-	// into groups of up to groupMax and their record accesses issued as
-	// simultaneous batches (transactGroup), so a parallel engine
-	// overlaps them on execution lanes.
-	par      bool
-	groupMax int
 }
 
 // NewDriver returns a driver using the bank's config seed.
@@ -437,27 +325,6 @@ func NewDriverDepth(bank *Bank, depth int) *Driver {
 	dr := NewDriver(bank)
 	bank.dev.SetHostConcurrency(depth)
 	dr.eng = host.New(bank.dev, depth, bank.dev.Geometry().PageSize)
-	return dr
-}
-
-// NewDriverParallel returns a driver whose host queue dispatches
-// disjoint-footprint requests to parallel execution lanes. The bank's
-// device must have been built with core.Config.ParallelService (the
-// engine arms the lock-decomposed batch path against it); the panic
-// otherwise is immediate rather than a silent serial fallback.
-func NewDriverParallel(bank *Bank, depth int) *Driver {
-	if !bank.dev.ParallelEnabled() {
-		panic("tpca: NewDriverParallel needs a device built with core.Config.ParallelService")
-	}
-	dr := NewDriverDepth(bank, depth)
-	dr.eng.SetParallel(bank.dev)
-	dr.par = true
-	// Each transaction holds up to three record accesses in the queue;
-	// group only as many transactions as the queue can hold at once.
-	dr.groupMax = depth / 3
-	if dr.groupMax < 1 {
-		dr.groupMax = 1
-	}
 	return dr
 }
 
@@ -487,40 +354,11 @@ func (dr *Driver) Run(rate float64, duration sim.Duration) (Results, error) {
 	end := start.Add(duration)
 	mean := sim.Duration(1e9 / rate)
 
-	// Parallel drivers gather transactions already due into a group and
-	// issue their record accesses together; flushGroup services the
-	// pending group and records each member's completion.
-	var group []groupTxn
-	flushGroup := func() error {
-		if len(group) == 0 {
-			return nil
-		}
-		for i := range group {
-			addrs, err := dr.bank.resolveRecords(group[i].account)
-			if err != nil {
-				return err
-			}
-			group[i].addrs = addrs
-		}
-		if err := dr.bank.transactGroup(dr.eng, group); err != nil {
-			return err
-		}
-		for i := range group {
-			res.TxnLatency.Record(group[i].done.Sub(group[i].arrival))
-			res.Completed++
-		}
-		group = group[:0]
-		return nil
-	}
-
 	arrival := start.Add(dr.rng.Exp(mean))
 	for arrival < end {
 		if arrival > dev.Now() {
-			// The device caught up: service the pending group, then let
-			// an idle gap service queued writes before background work.
-			if err := flushGroup(); err != nil {
-				return res, err
-			}
+			// The device caught up: let an idle gap service queued writes
+			// before background work.
 			if dr.eng != nil {
 				dr.eng.RunUntil(arrival)
 			}
@@ -528,24 +366,12 @@ func (dr *Driver) Run(rate float64, duration sim.Duration) (Results, error) {
 		}
 		account := dr.rng.Intn(dr.bank.accounts) + 1
 		delta := int64(dr.rng.Intn(1999)) - 999
-		if dr.par {
-			group = append(group, groupTxn{arrival: arrival, account: account, delta: delta})
-			if len(group) >= dr.groupMax {
-				if err := flushGroup(); err != nil {
-					return res, err
-				}
-			}
-		} else {
-			if err := dr.bank.transactionVia(dr.eng, account, delta); err != nil {
-				return res, err
-			}
-			res.TxnLatency.Record(dev.Now().Sub(arrival))
-			res.Completed++
+		if err := dr.bank.transactionVia(dr.eng, account, delta); err != nil {
+			return res, err
 		}
+		res.TxnLatency.Record(dev.Now().Sub(arrival))
+		res.Completed++
 		arrival = arrival.Add(dr.rng.Exp(mean))
-	}
-	if err := flushGroup(); err != nil {
-		return res, err
 	}
 	if dr.eng != nil {
 		dr.eng.Drain()
@@ -571,14 +397,9 @@ func (dr *Driver) Run(rate float64, duration sim.Duration) (Results, error) {
 		res.HostP99 = hl.Percentile(99)
 		res.HostMax = hl.Max()
 		res.HostMeanDepth = dr.eng.MeanDepth()
-		res.HostBatches = dr.eng.Batches()
-		res.HostBatched = dr.eng.BatchedRequests()
-		res.HostMaxBatch = dr.eng.MaxBatch()
 		res.HostEffectiveDepth = dr.eng.EffectiveDepth()
 		res.HostMinEffDepth = dr.eng.MinEffectiveDepth()
 	}
-	ops := dev.OpStats()
-	res.FlushCleanOverlap = ops.FlushCleanOverlap()
 	res.Suspensions = dev.Suspensions()
 	return res, nil
 }

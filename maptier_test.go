@@ -182,13 +182,3 @@ func TestMapTierCrashRecovery(t *testing.T) {
 		}
 	}
 }
-
-// TestMapTierRejectsParallelService pins the documented incompatibility.
-func TestMapTierRejectsParallelService(t *testing.T) {
-	cfg := mapTierConfig()
-	cfg.ParallelService = true
-	cfg.PageTableShards = 2
-	if _, err := New(cfg); err == nil {
-		t.Fatal("New accepted MapTier together with ParallelService")
-	}
-}
