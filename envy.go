@@ -582,7 +582,7 @@ func (dev *Device) WriteWord(addr uint64, v uint32) time.Duration {
 // Read fills p from addr and returns the cumulative latency. On the
 // simulated clock that is one word-sized host access per 32-bit word
 // (§1); the simulator itself services each page's words in runs (see
-// DESIGN.md §16), with results identical to a word-at-a-time walk. An
+// DESIGN.md §15), with results identical to a word-at-a-time walk. An
 // out-of-range access panics, as a wild pointer through a real memory
 // bus would fault; hosts that cannot trust their addresses should use
 // ReadErr.

@@ -2,18 +2,18 @@
 // the go/analysis model: an Analyzer inspects one type-checked package
 // and reports Diagnostics. It exists because this module vendors no
 // external tooling — the envyvet checkers (simtime, flashstate,
-// panicpolicy, exhaustive, schedstate, maporder, claimgraph) are built
-// on it, and cmd/envyvet drives them both standalone and under
-// `go vet -vettool`.
+// panicpolicy, exhaustive, maporder) are built on it, and one driver,
+// CheckModule, runs them over the module for both TestRepoSelfCheck
+// and cmd/envyvet.
 //
 // The deliberate differences from golang.org/x/tools/go/analysis:
 //
-//   - Facts are module-scoped, not per-analyzer-typed: a FactStore
-//     carries per-function and per-package facts across packages
-//     analyzed in dependency order, and the stores serialize to JSON
-//     so the `go vet` unitchecker path can thread them through .vetx
-//     files. There is no Requires graph — every analyzer runs over
-//     every package.
+//   - Every analyzer is package-local: there are no facts, no Requires
+//     graph and no dependency order. The two rules that used to need
+//     cross-package reasoning are stated where they can be checked
+//     locally — determinism as a ban at the source over every
+//     importable package (simtime), lock order as a leaf-critical-
+//     section guard test inside internal/cluster.
 //
 //   - Built-in suppression: a line comment of the form
 //
@@ -26,8 +26,8 @@
 //     are treated as free-form justification. Invariant-corruption
 //     tests use this to mutate guarded state deliberately.
 //
-//   - Suppressions are audited: drivers record which directives
-//     actually suppressed a diagnostic and report the ones that no
+//   - Suppressions are audited: the driver records which directives
+//     actually suppressed a diagnostic and reports the ones that no
 //     longer suppress anything, so allowlist comments cannot rot.
 package analysis
 
@@ -63,8 +63,7 @@ type Package struct {
 	TypesInfo *types.Info
 }
 
-// A Pass hands one type-checked package to an analyzer, together with
-// the fact store shared across the whole run.
+// A Pass hands one type-checked package to an analyzer.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
@@ -72,7 +71,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	store   *FactStore
 	audit   *SuppressionAudit
 	report  func(Diagnostic)
 	allowed map[lineKey]map[string]bool
@@ -110,58 +108,16 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// ExportFunctionFact records a fact about a function declared in this
-// package, for later passes over importing packages. The fact must
-// marshal to JSON.
-func (p *Pass) ExportFunctionFact(fn *types.Func, fact any) {
-	p.store.exportFunc(p.Analyzer.Name, FuncKey(fn), fact)
-}
-
-// ImportFunctionFact loads a previously exported fact about fn into
-// out (a pointer), reporting whether one was found. Facts exist only
-// for module functions whose package was analyzed earlier in
-// dependency order.
-func (p *Pass) ImportFunctionFact(fn *types.Func, out any) bool {
-	return p.store.importFunc(p.Analyzer.Name, FuncKey(fn), out)
-}
-
-// ExportPackageFact records a fact about the package under analysis.
-func (p *Pass) ExportPackageFact(fact any) {
-	p.store.exportPkg(p.Analyzer.Name, p.Pkg.Path(), fact)
-}
-
-// PackageFactPaths returns, in sorted order, the import paths of every
-// package that exported a fact for this analyzer.
-func (p *Pass) PackageFactPaths() []string {
-	return p.store.pkgPaths(p.Analyzer.Name)
-}
-
-// ImportPackageFact loads the package fact exported by path into out
-// (a pointer), reporting whether one was found.
-func (p *Pass) ImportPackageFact(path string, out any) bool {
-	return p.store.importPkg(p.Analyzer.Name, path, out)
-}
-
-// Run applies one analyzer to one package with a throwaway fact store,
-// delivering diagnostics that survive suppression to report. It is the
-// single-package entry point used by fixtures without cross-package
-// dependencies; whole-program drivers use RunPackage with a shared
-// store and audit.
-func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) error {
-	return RunPackage(a, &Package{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}, NewFactStore(), nil, report)
-}
-
-// RunPackage applies one analyzer to one package. Facts read and
-// written by the analyzer go through store; suppressed diagnostics are
-// recorded in audit when it is non-nil.
-func RunPackage(a *Analyzer, unit *Package, store *FactStore, audit *SuppressionAudit, report func(Diagnostic)) error {
+// RunPackage applies one analyzer to one package, delivering the
+// diagnostics that survive suppression to report. Suppressed
+// diagnostics are recorded in audit when it is non-nil.
+func RunPackage(a *Analyzer, unit *Package, audit *SuppressionAudit, report func(Diagnostic)) error {
 	pass := &Pass{
 		Analyzer:  a,
 		Fset:      unit.Fset,
 		Files:     unit.Files,
 		Pkg:       unit.Pkg,
 		TypesInfo: unit.TypesInfo,
-		store:     store,
 		audit:     audit,
 		report:    report,
 		allowed:   suppressions(unit.Fset, unit.Files),
@@ -286,7 +242,7 @@ func StaleSuppressions(fset *token.FileSet, files []*ast.File, audit *Suppressio
 
 // All returns the full envyvet suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Simtime, Flashstate, Panicpolicy, Exhaustive, Schedstate, Maporder, Claimgraph}
+	return []*Analyzer{Simtime, Flashstate, Panicpolicy, Exhaustive, Maporder}
 }
 
 // SortDiagnostics orders diagnostics by file position for stable

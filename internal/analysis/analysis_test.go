@@ -115,13 +115,7 @@ func runFixture(t *testing.T, a *analysis.Analyzer, path string) {
 		t.Fatal(err)
 	}
 	imp := &fixtureImporter{fset: fset, pkgs: make(map[string]*types.Package)}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
+	info := analysis.NewTypesInfo()
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
@@ -129,53 +123,14 @@ func runFixture(t *testing.T, a *analysis.Analyzer, path string) {
 	}
 
 	var got []analysis.Diagnostic
-	if err := analysis.Run(a, fset, files, pkg, info, func(d analysis.Diagnostic) {
+	unit := &analysis.Package{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
+	if err := analysis.RunPackage(a, unit, nil, func(d analysis.Diagnostic) {
 		got = append(got, d)
 	}); err != nil {
 		t.Fatalf("%s on %s: %v", a.Name, path, err)
 	}
 	analysis.SortDiagnostics(fset, got)
 	matchWants(t, a, fset, files, got)
-}
-
-// runFixtureFacts checks one analyzer against a target fixture package
-// after analyzing its fixture dependencies, in order, with a shared
-// fact store — the in-test analogue of the driver's dependency-order
-// pass. Diagnostics in dependencies are discarded; only the target's
-// are matched against its want comments.
-func runFixtureFacts(t *testing.T, a *analysis.Analyzer, deps []string, target string) {
-	t.Helper()
-	fset := token.NewFileSet()
-	imp := &fixtureImporter{fset: fset, pkgs: make(map[string]*types.Package)}
-	store := analysis.NewFactStore()
-	load := func(path string) *analysis.Package {
-		files, err := parseFixture(fset, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		info := analysis.NewTypesInfo()
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(path, fset, files, info)
-		if err != nil {
-			t.Fatalf("type-checking fixture %s: %v", path, err)
-		}
-		imp.pkgs[path] = pkg
-		return &analysis.Package{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
-	}
-	for _, dep := range deps {
-		if err := analysis.RunPackage(a, load(dep), store, nil, func(analysis.Diagnostic) {}); err != nil {
-			t.Fatalf("%s on %s: %v", a.Name, dep, err)
-		}
-	}
-	unit := load(target)
-	var got []analysis.Diagnostic
-	if err := analysis.RunPackage(a, unit, store, nil, func(d analysis.Diagnostic) {
-		got = append(got, d)
-	}); err != nil {
-		t.Fatalf("%s on %s: %v", a.Name, target, err)
-	}
-	analysis.SortDiagnostics(fset, got)
-	matchWants(t, a, fset, unit.Files, got)
 }
 
 // matchWants lines the diagnostics up against the files' want comments.
@@ -205,9 +160,10 @@ func matchWants(t *testing.T, a *analysis.Analyzer, fset *token.FileSet, files [
 
 func TestSimtime(t *testing.T) {
 	runFixture(t, analysis.Simtime, "envy/internal/core")      // violations + suppression
-	runFixture(t, analysis.Simtime, "envy/examples/clock")     // out of scope: clean
+	runFixture(t, analysis.Simtime, "envy/internal/stats")     // any internal package is territory: wall clock + math/rand import
+	runFixture(t, analysis.Simtime, "envy/internal/pagetable") // wall clock in the mapping layer
+	runFixture(t, analysis.Simtime, "envy/examples/clock")     // outside the importable packages: clean
 	runFixture(t, analysis.Simtime, "envy/internal/panics")    // no time use at all: clean
-	runFixture(t, analysis.Simtime, "envy/internal/pagetable") // mapping layer joined the territory with the diff directory
 }
 
 func TestFlashstate(t *testing.T) {
@@ -224,11 +180,6 @@ func TestPanicpolicy(t *testing.T) {
 	runFixture(t, analysis.Panicpolicy, "envy/cmd/tool")        // out of scope: clean
 }
 
-func TestSchedstate(t *testing.T) {
-	runFixture(t, analysis.Schedstate, "envy/internal/sched") // release-before-suspend rules
-	runFixture(t, analysis.Schedstate, "envy/internal/core")  // out of scope: clean
-}
-
 func TestExhaustive(t *testing.T) {
 	runFixture(t, analysis.Exhaustive, "envy/internal/switcher") // module/local/hidden enums
 	runFixture(t, analysis.Exhaustive, "envy/internal/flash")    // declarations only: clean
@@ -236,17 +187,6 @@ func TestExhaustive(t *testing.T) {
 
 func TestMaporder(t *testing.T) {
 	runFixture(t, analysis.Maporder, "envy/internal/stats") // map iteration order rules
-	// Cross-package taint: wallhelp's wall-clock facts first.
-	runFixtureFacts(t, analysis.Maporder, []string{"envy/internal/wallhelp"}, "envy/internal/core")
-	runFixture(t, analysis.Maporder, "envy/internal/wallhelp") // taint source outside the simulation: clean
-}
-
-func TestClaimgraph(t *testing.T) {
-	// Rank violation and cycle assembled from the lock owners' facts.
-	runFixtureFacts(t, analysis.Claimgraph, []string{"envy/internal/claims", "envy/internal/cluster", "envy/internal/maptier"}, "envy/internal/lockuser")
-	runFixture(t, analysis.Claimgraph, "envy/internal/claims")  // A→B alone, no cycle: clean
-	runFixture(t, analysis.Claimgraph, "envy/internal/cluster") // single router lock, helpers only: clean
-	runFixture(t, analysis.Claimgraph, "envy/internal/maptier") // single lock, helpers only: clean
 }
 
 // TestStaleSuppressions pins the suppression audit: a directive that
@@ -285,7 +225,7 @@ func stale() {
 	}
 	unit := &analysis.Package{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
 	audit := analysis.NewSuppressionAudit()
-	if err := analysis.RunPackage(analysis.Maporder, unit, analysis.NewFactStore(), audit, func(d analysis.Diagnostic) {
+	if err := analysis.RunPackage(analysis.Maporder, unit, audit, func(d analysis.Diagnostic) {
 		t.Errorf("diagnostic escaped a live suppression: %s", d.Message)
 	}); err != nil {
 		t.Fatal(err)
@@ -319,7 +259,8 @@ func TestRepoSelfCheck(t *testing.T) {
 	}
 }
 
-// TestAll pins the suite contents: drivers and CI rely on these seven.
+// TestAll pins the suite contents: the driver, the //envyvet:allow
+// parser and the docs rely on these five.
 func TestAll(t *testing.T) {
 	var names []string
 	for _, a := range analysis.All() {
@@ -327,7 +268,7 @@ func TestAll(t *testing.T) {
 	}
 	sort.Strings(names)
 	joined := strings.Join(names, " ")
-	if joined != "claimgraph exhaustive flashstate maporder panicpolicy schedstate simtime" {
+	if joined != "exhaustive flashstate maporder panicpolicy simtime" {
 		t.Fatalf("analyzer suite = %q", joined)
 	}
 }

@@ -15,13 +15,12 @@ import (
 	"strings"
 )
 
-// CheckModule is the whole-program driver: it shells out to
-// `go list -deps -export -test -json` for the build graph, parses and
-// type-checks every module package (including test variants) from
-// source, and runs the full analyzer suite over them in dependency
-// order with one shared fact store — so cross-package analyzers
-// (maporder, claimgraph) see the facts their dependencies
-// exported. After the suite runs over a package, suppression
+// CheckModule is the one driver: it shells out to
+// `go list -deps -export -test -json` for the package list and the
+// compiler's export data, parses and type-checks every module package
+// (including test variants) from source, and runs the full analyzer
+// suite over each. Every analyzer is package-local, so the order is
+// immaterial. After the suite runs over a package, suppression
 // directives that silenced nothing are reported as findings too.
 //
 // Findings come back as "file:line:col: message" strings, in package
@@ -62,11 +61,7 @@ func CheckModule(patterns []string) ([]string, error) {
 		units = append(units, p)
 	}
 
-	// One fileset and one fact store across the whole run; `go list
-	// -deps` guarantees every package appears after its dependencies,
-	// which is exactly the order fact propagation needs.
 	fset := token.NewFileSet()
-	store := NewFactStore()
 	var findings []string
 	seen := make(map[string]bool)
 	var loadErrs []string
@@ -103,13 +98,13 @@ func CheckModule(patterns []string) ([]string, error) {
 		})
 		conf := types.Config{Importer: imp}
 		info := NewTypesInfo()
-		pkg, err := conf.Check(ScrubImportPath(p.ImportPath), fset, files, info)
+		pkg, err := conf.Check(scrubImportPath(p.ImportPath), fset, files, info)
 		if err != nil {
 			loadErrs = append(loadErrs, fmt.Sprintf("type-checking %s: %v", p.ImportPath, err))
 			continue
 		}
 		unit := &Package{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
-		for _, line := range CheckPackage(unit, store) {
+		for _, line := range checkPackage(unit) {
 			if !seen[line] {
 				seen[line] = true
 				findings = append(findings, line)
@@ -122,14 +117,13 @@ func CheckModule(patterns []string) ([]string, error) {
 	return findings, nil
 }
 
-// CheckPackage runs the full suite plus the stale-suppression check
-// over one type-checked package, reading and writing cross-package
-// facts through store, and returns formatted findings.
-func CheckPackage(unit *Package, store *FactStore) []string {
+// checkPackage runs the full suite plus the stale-suppression check
+// over one type-checked package and returns formatted findings.
+func checkPackage(unit *Package) []string {
 	audit := NewSuppressionAudit()
 	var diags []Diagnostic
 	for _, a := range All() {
-		if err := RunPackage(a, unit, store, audit, func(d Diagnostic) {
+		if err := RunPackage(a, unit, audit, func(d Diagnostic) {
 			diags = append(diags, d)
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "envyvet: %s on %s: %v\n", a.Name, unit.Pkg.Path(), err)
@@ -156,9 +150,9 @@ func NewTypesInfo() *types.Info {
 	}
 }
 
-// ScrubImportPath removes the " [pkg.test]" disambiguator go appends
+// scrubImportPath removes the " [pkg.test]" disambiguator go appends
 // to test-variant import paths, so analyzers see the declared path.
-func ScrubImportPath(path string) string {
+func scrubImportPath(path string) string {
 	if i := strings.Index(path, " ["); i >= 0 {
 		return path[:i]
 	}

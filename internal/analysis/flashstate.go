@@ -57,7 +57,7 @@ var guardedMethods = map[string]map[string]bool{
 		"MapSRAM":  true,
 		"Unmap":    true,
 	},
-	// The diff-chain directory (DESIGN.md §14): every mutator rewrites
+	// The diff-chain directory (DESIGN.md §13): every mutator rewrites
 	// which flash pages a logical page's contents live on, so the same
 	// whole-device invariants guard it. Readers (Entry, UnitMembers,
 	// Entries, Units, UnitCount, SRAMBytes, ...) are unrestricted.
@@ -71,7 +71,7 @@ var guardedMethods = map[string]map[string]bool{
 		"RelocateUnit": true,
 	},
 	// The write buffer's flush transitions: which frames are mid-flush
-	// decides membership in the flush-candidate index (DESIGN.md §16)
+	// decides membership in the flush-candidate index (DESIGN.md §15)
 	// and must agree with the controller's flush reservations. Insert
 	// and Remove stay open — layer probes fill and empty a bare buffer.
 	"envy/internal/sram.Buffer": {

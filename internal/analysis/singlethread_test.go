@@ -15,19 +15,18 @@ import (
 // race-freedom argument below the public API rests on: exactly one
 // goroutine ever runs inside a device, so there are no lanes to race.
 // No non-test file under internal/ may start a goroutine or import sync
-// or sync/atomic, except the two packages whose subject is concurrency
-// above the device: cluster (one device per member, racing callers) and
-// maptier (its Tier.mu). The one other lock below the public API is
-// envy.Device.mu, outside internal/.
+// or sync/atomic, except cluster, whose subject is concurrency above
+// the device (one device per member, racing callers; its own guard,
+// TestLeafCriticalSections, keeps Cluster.mu a leaf). The module's one
+// other lock is envy.Device.mu, outside internal/.
 func TestSingleThreadedInternals(t *testing.T) {
-	exempt := map[string]bool{"cluster": true, "maptier": true}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if d.Name() == "testdata" || (filepath.Dir(path) == ".." && exempt[d.Name()]) {
+			if d.Name() == "testdata" || path == filepath.Join("..", "cluster") {
 				return filepath.SkipDir
 			}
 			return nil

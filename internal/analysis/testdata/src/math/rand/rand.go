@@ -1,25 +1,6 @@
-// Package rand is a stub of math/rand for analyzer fixtures: the
-// maporder analyzer bans draws on the process-global source inside
-// simulation packages while allowing explicitly seeded generators.
+// Package rand is a stub of math/rand for analyzer fixtures: simtime
+// bans the import outright in every importable package.
 package rand
-
-// Source is a stub entropy source.
-type Source interface{ Int63() int64 }
-
-// Rand is a generator backed by an explicit source.
-type Rand struct{}
-
-// Intn draws from this generator — deterministic given its source.
-func (r *Rand) Intn(n int) int { return 0 }
 
 // Intn draws from the process-global source.
 func Intn(n int) int { return 0 }
-
-// Int63 draws from the process-global source.
-func Int63() int64 { return 0 }
-
-// New returns a generator backed by src.
-func New(src Source) *Rand { return &Rand{} }
-
-// NewSource returns a seeded source.
-func NewSource(seed int64) Source { return nil }

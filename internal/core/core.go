@@ -1106,6 +1106,11 @@ func (d *Device) copyOnWrite(page uint32) *sram.Frame {
 			d.completeAccess(mergeLat, stats.Writing)
 		}
 	}
+	// Pull the mapping page in before the frame exists: EnsureCached can
+	// program Flash (crash points), and a crash between Insert and the
+	// retarget would leave a buffered frame whose table entry still
+	// points at Flash. setSRAM's own ensure is then a cache hit.
+	d.tierEnsure(page)
 	frame := d.buf.Insert(page, home, payload)
 	d.setSRAM(page)
 	if d.inj != nil && d.inj.AtRetarget() {

@@ -42,7 +42,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"envy/internal/flash"
 	"envy/internal/pagetable"
@@ -153,11 +152,11 @@ type intent struct {
 }
 
 // Tier is the two-tier page table: directory + cache over a
-// translation Flash region. Methods are safe for concurrent use (the
-// tier has its own mutex); simulated-time accounting remains the
-// caller's job, as everywhere in the controller.
+// translation Flash region. It is not safe for concurrent use: like
+// the rest of the controller, it is only ever reached by the one
+// goroutine holding the device mutex. Simulated-time accounting remains
+// the caller's job, as everywhere in the controller.
 type Tier struct {
-	mu    sync.Mutex
 	cfg   Config
 	table *pagetable.Table
 
@@ -335,8 +334,6 @@ func (t *Tier) pageOf(lpn uint32) uint32 { return lpn / uint32(t.perPage) }
 // SRAM lookup; a miss fetches the mapping page from Flash (and may
 // first have to write back a dirty frame to make room).
 func (t *Tier) Access(lpn uint32) sim.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	idx := t.pageOf(lpn)
 	if f, ok := t.frames[idx]; ok {
 		t.c.Hits++
@@ -356,8 +353,6 @@ func (t *Tier) Access(lpn uint32) sim.Duration {
 // nothing host-visible has been mutated yet and the tier's own
 // program-then-retarget discipline keeps it internally consistent.
 func (t *Tier) EnsureCached(lpn uint32) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	idx := t.pageOf(lpn)
 	if _, ok := t.frames[idx]; !ok {
 		t.fetch(idx)
@@ -372,8 +367,6 @@ func (t *Tier) EnsureCached(lpn uint32) {
 // failure. The mapping page must already be cached (EnsureCached);
 // anything else is a protocol violation in the controller.
 func (t *Tier) Update(lpn uint32, raw uint32) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	idx := t.pageOf(lpn)
 	f, ok := t.frames[idx]
 	if !ok {
@@ -400,14 +393,12 @@ func (t *Tier) Update(lpn uint32, raw uint32) {
 // is swept by the quarantine pass, and an interrupted translation
 // clean finishes from its intent.
 func (t *Tier) Drain() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.drain(len(t.inflight) > 0)
 }
 
 // fetch loads mapping page idx from its durable copy into a fresh
 // cache frame, evicting first if the cache is full, and returns the
-// Flash time the load took. Callers hold t.mu.
+// Flash time the load took.
 func (t *Tier) fetch(idx uint32) sim.Duration {
 	var cost sim.Duration
 	if len(t.frames) >= t.cfg.CacheFrames {
@@ -460,14 +451,13 @@ func (t *Tier) evict() sim.Duration {
 // writebacks have filled the append segment while every stale copy's
 // invalidation still waits on an op completion — drains back off until
 // a completion (which always invalidates one page) restarts them.
-// Callers hold t.mu.
 func (t *Tier) canAppend() bool {
 	return t.cursor < t.segPages || t.freeSegment() >= 0 || t.hasInvalid()
 }
 
 // hasInvalid reports whether any non-spare translation segment holds
 // an invalid page — i.e. whether a clean could reclaim space right
-// now. Callers hold t.mu.
+// now.
 func (t *Tier) hasInvalid() bool {
 	for seg := 0; seg < t.arr.Geometry().Segments; seg++ {
 		if seg == t.spare {
@@ -483,9 +473,8 @@ func (t *Tier) hasInvalid() bool {
 // syncWriteback programs frame f's mapping page out and retargets the
 // directory on the spot: the eviction path cannot wait for a scheduled
 // op. The program-then-retarget order makes it crash-atomic — a tear
-// inside the program leaves the directory on the old copy. Callers
-// hold t.mu; the returned duration is charged to the access that
-// forced the eviction.
+// inside the program leaves the directory on the old copy. The
+// returned duration is charged to the access that forced the eviction.
 func (t *Tier) syncWriteback(f *frame) sim.Duration {
 	ppn := t.alloc()
 	t.arr.Program(ppn, f.idx, f.data)
@@ -511,7 +500,6 @@ func (t *Tier) syncWriteback(f *frame) sim.Duration {
 // leaving cleaning nothing to reclaim. Reserving the last slot keeps
 // canAppend true at all times for the synchronous eviction path
 // (whose program invalidates immediately, sustaining the invariant).
-// Callers hold t.mu.
 func (t *Tier) drain(started bool) {
 	if !started && t.dirty < t.high {
 		return
@@ -541,7 +529,7 @@ func (t *Tier) drain(started bool) {
 // queues the timed OpMapFlush that will retarget the directory when
 // the program physically completes. Until then the in-flight record
 // holds the only reference to the new copy; a crash tears it (the
-// frame itself is battery-backed and loses nothing). Callers hold t.mu.
+// frame itself is battery-backed and loses nothing).
 func (t *Tier) scheduleWriteback(f *frame) {
 	ppn := t.alloc()
 	t.arr.Program(ppn, f.idx, f.data)
@@ -568,8 +556,6 @@ func (t *Tier) scheduleWriteback(f *frame) {
 // copy is already stale and is discarded instead (the directory keeps
 // the old copy; the frame goes back to dirty).
 func (t *Tier) finishWriteback(idx uint32) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	ppn, ok := t.inflight[idx]
 	if !ok {
 		panic(fmt.Sprintf("maptier: finishing writeback of mapping page %d with no record", idx))
@@ -594,7 +580,7 @@ func (t *Tier) finishWriteback(idx uint32) {
 }
 
 // alloc returns the next free translation page, making room when the
-// append segment is exhausted. Callers hold t.mu.
+// append segment is exhausted.
 func (t *Tier) alloc() uint32 {
 	for t.cursor == t.segPages {
 		t.makeRoom()
@@ -607,8 +593,7 @@ func (t *Tier) alloc() uint32 {
 // makeRoom points the append cursor at fresh space: a fully erased
 // non-spare segment if one exists (the region's capacity slack starts
 // out as erased segments past the formatted prefix), else a clean of
-// the most-invalid segment into the spare. Callers hold t.mu and
-// guarantee canAppend.
+// the most-invalid segment into the spare. Callers guarantee canAppend.
 func (t *Tier) makeRoom() {
 	if seg := t.freeSegment(); seg >= 0 {
 		t.active, t.cursor = seg, 0
@@ -618,7 +603,7 @@ func (t *Tier) makeRoom() {
 }
 
 // freeSegment returns a fully erased segment that is neither the
-// spare nor the current append segment, or -1. Callers hold t.mu.
+// spare nor the current append segment, or -1.
 func (t *Tier) freeSegment() int {
 	for seg := 0; seg < t.arr.Geometry().Segments; seg++ {
 		if seg == t.spare || seg == t.active {
@@ -637,7 +622,7 @@ func (t *Tier) freeSegment() int {
 // the new spare. The battery-backed intent record brackets the whole
 // operation so recovery can finish it after a crash at any program or
 // the erase. Time is charged through OpMapClean/OpMapErase ops on the
-// shared scheduler. Callers hold t.mu.
+// shared scheduler.
 func (t *Tier) clean() {
 	victim := t.pickVictim()
 	dest := t.spare
@@ -666,7 +651,6 @@ func (t *Tier) clean() {
 // pickVictim selects the clean victim: the non-spare segment with the
 // most invalid pages (lowest index on ties). Callers reach a clean
 // only through the canAppend guard, which guarantees one exists.
-// Callers hold t.mu.
 func (t *Tier) pickVictim() int {
 	best, bestInvalid := -1, 0
 	for seg := 0; seg < t.arr.Geometry().Segments; seg++ {
@@ -688,8 +672,7 @@ func (t *Tier) pickVictim() int {
 // dest's page destCursor, retargeting the directory or in-flight
 // record for each, and returns how many pages it copied. Each program
 // is a crash point; the per-page program→retarget→invalidate order
-// keeps every mapping page durably referenced throughout. Callers hold
-// t.mu.
+// keeps every mapping page durably referenced throughout.
 func (t *Tier) copyOut(victim, dest, destCursor int) int {
 	type live struct {
 		page int
@@ -720,7 +703,7 @@ func (t *Tier) copyOut(victim, dest, destCursor int) int {
 }
 
 // finishRotation completes a clean after the victim's erase: segment
-// roles rotate and the intent closes. Callers hold t.mu.
+// roles rotate and the intent closes.
 func (t *Tier) finishRotation(victim, dest, copied int) {
 	t.spare = victim
 	t.active = dest
@@ -737,7 +720,7 @@ func (t *Tier) freePages(seg int) int {
 	return free
 }
 
-// touch moves f to the LRU head. Callers hold t.mu.
+// touch moves f to the LRU head.
 func (t *Tier) touch(f *frame) {
 	if t.head == f {
 		return
@@ -802,15 +785,11 @@ func (t *Tier) SRAMBytes() int64 { return t.DirectoryBytes() + t.CacheBytes() }
 
 // Counters returns a snapshot of the tier's activity counters.
 func (t *Tier) Counters() Counters {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.c
 }
 
 // ResetCounters zeroes the activity counters (after warm-up).
 func (t *Tier) ResetCounters() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.c = Counters{}
 }
 
@@ -818,8 +797,6 @@ func (t *Tier) ResetCounters() {
 // matched by the invariant checker against the scheduler's armed
 // OpMapFlush completions.
 func (t *Tier) InflightCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.inflight)
 }
 
@@ -828,8 +805,6 @@ func (t *Tier) InflightCount() int {
 // crash latch calls this alongside tearing the data flush targets;
 // seedFor scrambles which bits of each page made it.
 func (t *Tier) TearInflight(seedFor func(ppn uint32) uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, idx := range sortedKeys(t.inflight) {
 		ppn := t.inflight[idx]
 		t.arr.TearInFlight(ppn, seedFor(ppn))
@@ -873,8 +848,6 @@ type RecoverReport struct {
 // any ops Recover enqueued (the finished clean's copies and erase) on
 // the simulated clock afterwards.
 func (t *Tier) Recover() RecoverReport {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var r RecoverReport
 
 	// 1. Discard in-flight writebacks: the directory never saw the new
@@ -985,7 +958,7 @@ func (t *Tier) Recover() RecoverReport {
 }
 
 // quarantineSegment retires every torn page in a segment, returning
-// how many. Callers hold t.mu.
+// how many.
 func (t *Tier) quarantineSegment(seg int) int {
 	if t.arr.SegmentTorn(seg) == 0 {
 		return 0
@@ -1016,8 +989,6 @@ func (t *Tier) quarantineSegment(seg int) int {
 //     frame set, the dirty count is exact, the spare translation
 //     segment is fully erased, and no clean intent is open.
 func (t *Tier) CheckConsistency() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.intent.open {
 		return fmt.Errorf("maptier: clean intent still open (victim %d, dest %d)", t.intent.victim, t.intent.dest)
 	}

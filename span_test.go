@@ -210,11 +210,14 @@ func runSpanDifferential(t *testing.T, c spanCase, program []byte) (recoveries i
 			word.Idle(d)
 		case 6:
 			if span.Crashed() || (c.flush == DiffFlush && c.mapTier) {
-				// DiffFlush over the two-tier table does not survive every
-				// crash (ROADMAP.md lists the combination), and with a
-				// transaction open the failed mount traps inside the
-				// rollback instead of returning the error the twins are
-				// compared on.
+				// DiffFlush over the two-tier table still does not survive
+				// every crash. The copy-on-write window is closed
+				// (TestMapTierDiffCOWCrashSweep), but a second failure is
+				// open — Recover rejects a flush reservation whose target
+				// page is free (ROADMAP.md open item 1 has the recipe) —
+				// and with a transaction open a failed mount traps inside
+				// the rollback instead of returning the error the twins
+				// are compared on.
 				break
 			}
 			var spanErr, wordErr error
