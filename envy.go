@@ -3,6 +3,7 @@ package envy
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"envy/internal/cleaner"
@@ -345,11 +346,21 @@ func (c Config) coreConfig() core.Config {
 // anything queued, so callers that need ordering against in-flight
 // requests should Drain (or Wait) first.
 //
+// The request path allocates nothing in steady state: a request's
+// Done channel is made only if Done is called before completion (one
+// shared closed channel answers every later call), and SubmitAll
+// gathers its batch in a slice the device keeps. Done never takes the
+// device mutex, so it does not wait behind another goroutine's call.
+//
 // Core bypasses the mutex; see its doc.
 type Device struct {
 	mu  sync.Mutex
 	d   *core.Device
 	eng *host.Engine
+
+	// inners is SubmitAll's batch workspace, guarded by mu and emptied
+	// after each call so that it retains no request.
+	inners []*host.Request
 }
 
 // New builds a device. Missing Config fields default to the paper's
@@ -421,10 +432,10 @@ type Request struct {
 	// device never reads it.
 	Owner any
 
-	// Completion-filled fields, valid once Done is closed: timestamps on
-	// the simulated clock (offsets from device start), the sojourn
-	// latency (Completion − Arrival, queueing and stalls included) and
-	// the access outcome.
+	// Completion-filled fields, valid once Wait returns or Done is
+	// closed: timestamps on the simulated clock (offsets from device
+	// start), the sojourn latency (Completion − Arrival, queueing and
+	// stalls included) and the access outcome.
 	Arrival    time.Duration
 	Start      time.Duration
 	Completion time.Duration
@@ -432,16 +443,46 @@ type Request struct {
 	Err        error
 
 	// inner is the host-level request, held by value and completed
-	// through complete via its Owner back-pointer; done doubles as the
-	// submitted marker (non-nil from a successful prepare on).
+	// through complete via its Owner back-pointer. dev is the device
+	// the request was submitted to and doubles as the submitted marker
+	// (non-nil from a successful prepare on). done holds the Done
+	// channel once there is one (a chan struct{}): made by the first
+	// Done call before completion and closed by complete, or closedDone
+	// when completion came first. Both sides publish it by
+	// compare-and-swap, which is what lets Done run without the device
+	// mutex.
 	inner host.Request
-	done  chan struct{}
+	dev   *Device
+	done  atomic.Value
 }
+
+// closedDone is the Done channel of every request that completed
+// before anyone asked for one.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // Done returns a channel closed when the request completes; the
 // completion-filled fields are visible to any goroutine that observes
-// the close. It returns nil before Submit.
-func (r *Request) Done() <-chan struct{} { return r.done }
+// the close. It returns nil before Submit, and the same channel on
+// every call after it. Done never blocks: the channel is made on the
+// first call before completion, and a request nobody asked about
+// completes without one.
+func (r *Request) Done() <-chan struct{} {
+	if r.dev == nil {
+		return nil
+	}
+	if d, ok := r.done.Load().(chan struct{}); ok {
+		return d
+	}
+	d := make(chan struct{})
+	if r.done.CompareAndSwap(nil, d) {
+		return d
+	}
+	return r.done.Load().(chan struct{}) // completion or a racing Done won
+}
 
 // Submit validates r and enqueues it into the bounded host queue,
 // usually without servicing it — completion is observed through Wait,
@@ -476,18 +517,20 @@ func (dev *Device) SubmitAll(rs ...*Request) error {
 	for i, r := range rs {
 		if err := dev.prepare(r); err != nil {
 			for _, p := range rs[:i] {
-				p.done = nil
+				p.dev = nil
 			}
 			return err
 		}
 	}
-	inners := make([]*host.Request, len(rs))
-	for i, r := range rs {
-		inners[i] = &r.inner
-	}
 	dev.mu.Lock()
 	defer dev.mu.Unlock()
+	inners := dev.inners[:0]
+	for _, r := range rs {
+		inners = append(inners, &r.inner)
+	}
 	dev.eng.SubmitAll(inners...)
+	clear(inners)
+	dev.inners = inners[:0]
 	return nil
 }
 
@@ -495,20 +538,21 @@ func (dev *Device) SubmitAll(rs ...*Request) error {
 // before the device mutex is taken: CheckRange reads only immutable
 // geometry.
 func (dev *Device) prepare(r *Request) error {
-	if r.done != nil {
+	if r.dev != nil {
 		return fmt.Errorf("envy: Request resubmitted; requests are single-use")
 	}
 	if err := dev.d.CheckRange(r.Addr, len(r.Data)); err != nil {
 		return err
 	}
 	r.inner = host.Request{Write: r.Write, Addr: r.Addr, Data: r.Data, OnComplete: complete, Owner: r}
-	r.done = make(chan struct{})
+	r.dev = dev
 	return nil
 }
 
 // complete is every Request's host-level completion callback: it
 // copies the outcome into the public fields, runs the caller's
-// OnComplete and closes Done.
+// OnComplete and closes the channel a Done call made, if any; otherwise
+// every later Done call gets closedDone.
 func complete(h *host.Request) {
 	r := h.Owner.(*Request)
 	r.Arrival = time.Duration(h.Arrival)
@@ -519,21 +563,27 @@ func complete(h *host.Request) {
 	if r.OnComplete != nil {
 		r.OnComplete(r)
 	}
-	close(r.done)
+	if !r.done.CompareAndSwap(nil, closedDone) {
+		close(r.done.Load().(chan struct{}))
+	}
 }
 
 // Wait drives the simulation until r completes and returns its access
-// outcome, or an error if r was never submitted.
+// outcome, or an error if r was never submitted to dev. Completion
+// runs under the device mutex, so r is complete once Wait holds it and
+// finds r.inner completed.
 func (dev *Device) Wait(r *Request) error {
-	if r.done == nil {
+	if r.dev == nil {
 		return fmt.Errorf("envy: Wait on a request that was never submitted")
 	}
+	if r.dev != dev {
+		return fmt.Errorf("envy: Wait on a request submitted to another device")
+	}
 	dev.mu.Lock()
+	defer dev.mu.Unlock()
 	if !r.inner.Completed() {
 		dev.eng.ServeUntilDone(&r.inner)
 	}
-	dev.mu.Unlock()
-	<-r.done
 	return r.Err
 }
 

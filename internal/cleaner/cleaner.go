@@ -243,7 +243,21 @@ type Engine struct {
 	// flash.DiffOwner) relocate like any live page, via remap.
 	consolidate func(logical, oldPPN uint32) (payload []byte, after func(newPPN uint32), ok bool)
 
-	work []Step // scratch accumulator for the current operation
+	// Scratch reused across operations, so that steady-state flushing
+	// allocates nothing: the current operation's steps, ensureFronts'
+	// banks holding an erased-free page, products' per-partition values
+	// and movePages' picked live pages.
+	work       []Step
+	frontBanks []bool
+	prods      []float64
+	picks      []livePage
+}
+
+// livePage is a live page picked for relocation: its page index within
+// the source segment and its owner.
+type livePage struct {
+	page    int
+	logical uint32
 }
 
 // New returns an engine managing arr. remap is invoked whenever the
@@ -282,6 +296,8 @@ func New(arr *flash.Array, cfg Config, remap func(logical, oldPPN, newPPN uint32
 		spare:    geo.Segments - 1,
 		partOf:   make([]int, geo.Segments),
 		wearMark: make([]int64, geo.Segments),
+
+		frontBanks: make([]bool, geo.Banks),
 	}
 	switch cfg.Kind {
 	case Greedy:
@@ -302,6 +318,7 @@ func New(arr *flash.Array, cfg Config, remap func(logical, oldPPN, newPPN uint32
 		}
 		nParts := (geo.Segments - 1 + k - 1) / k
 		e.parts = make([]partition, nParts)
+		e.prods = make([]float64, nParts)
 		seg := 0
 		for p := range e.parts {
 			for j := 0; j < k && seg < geo.Segments-1; j++ {
@@ -549,7 +566,8 @@ func (e *Engine) ensureFronts(home int, avoid func(bank int) bool) {
 	if avoid(spareBank) {
 		return // the front this clean would open is on a busy bank
 	}
-	seen := make([]bool, geo.Banks)
+	seen := e.frontBanks
+	clear(seen)
 	fronts := 0
 	for seg := 0; seg < geo.Segments; seg++ {
 		if seg == e.spare {

@@ -395,3 +395,39 @@ func TestWearMemoSurvivesResetStats(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushAvoidingAllocs pins the §6 bank-steered flush at zero
+// allocations in steady state: placement, front upkeep (ensureFronts'
+// per-bank scratch) and the cleans it forces all reuse engine-owned
+// memory.
+func TestFlushAvoidingAllocs(t *testing.T) {
+	geo := flash.Geometry{PageSize: 256, PagesPerSegment: 64, Segments: 32, Banks: 4}
+	h, err := NewHarness(geo, Config{Kind: Hybrid, PartitionSegments: 4, BankStagger: geo.Banks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Load()
+	r := sim.NewRNG(3)
+	n := h.LogicalPages()
+	busy := 0
+	avoid := func(bank int) bool { return bank == busy }
+	write := func() {
+		for i := 0; i < 16; i++ {
+			lpn := uint32(sim.Uniform.Draw(r, n))
+			old := h.table[lpn]
+			home := h.eng.Home(lpn, true, old)
+			h.arr.Invalidate(old)
+			h.table[lpn], _ = h.eng.FlushAvoiding(lpn, home, nil, avoid)
+			busy = (busy + 1) % geo.Banks
+		}
+	}
+	for i := 0; i < 4*n/16; i++ {
+		write() // steady state: every partition has cleaned
+	}
+	if avg := testing.AllocsPerRun(200, write); avg != 0 {
+		t.Errorf("16 steady-state FlushAvoiding calls allocate %.2f times, want 0", avg)
+	}
+	if err := h.CheckMapping(); err != nil {
+		t.Fatal(err)
+	}
+}

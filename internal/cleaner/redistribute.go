@@ -53,7 +53,7 @@ func (e *Engine) utilization(idx int) float64 {
 // exactly the paper's intuition: a partition written ten times more
 // often settles at one tenth the per-flush cleaning cost.
 func (e *Engine) products() (prods []float64, avg float64) {
-	prods = make([]float64, len(e.parts))
+	prods = e.prods
 	var sum float64
 	for i := range e.parts {
 		e.decayTo(&e.parts[i], e.flushSeq)
@@ -106,7 +106,7 @@ func (e *Engine) redistribute(home, dest int) {
 	// ladder to stall on), while a hot region that outgrows one
 	// partition expands contiguously into the partition next door
 	// rather than spraying its excess across the whole array.
-	var cands []cand
+	cands := make([]cand, 0, 2)
 	if up := e.frontier(prods, home, +1); up >= 0 {
 		cands = append(cands, cand{up, false})
 	}
@@ -174,24 +174,17 @@ func (e *Engine) movePages(src, dstPart, n int, fromTail bool) int {
 		return 0
 	}
 	geo := e.arr.Geometry()
-	type pick struct {
-		page    int
-		logical uint32
-	}
-	picks := make([]pick, 0, n)
+	// Take the first n live pages, or from the tail all of them and keep
+	// the last n.
+	picks := e.picks[:0]
+	e.arr.LivePages(src, func(page int, logical uint32) {
+		if fromTail || len(picks) < n {
+			picks = append(picks, livePage{page, logical})
+		}
+	})
+	e.picks = picks
 	if fromTail {
-		// Collect all live pages, keep the last n.
-		var all []pick
-		e.arr.LivePages(src, func(page int, logical uint32) {
-			all = append(all, pick{page, logical})
-		})
-		picks = append(picks, all[len(all)-n:]...)
-	} else {
-		e.arr.LivePages(src, func(page int, logical uint32) {
-			if len(picks) < n {
-				picks = append(picks, pick{page, logical})
-			}
-		})
+		picks = picks[len(picks)-n:]
 	}
 	for _, pk := range picks {
 		oldPPN := geo.PPN(src, pk.page)

@@ -116,21 +116,27 @@ type Request struct {
 	Err           error
 
 	// inner is the member-level request, held by value and completed
-	// through completeMember via its Owner back-pointer; its done
+	// through completeMember via its Owner back-pointer; its Done
 	// channel is the request's own. c is the tier the request was
-	// submitted to, which doubles as the single-use marker. local is
-	// the (closed) done channel of a request the tier completed itself
-	// because its member was down, and nil for every other request.
+	// submitted to, which doubles as the single-use marker. local marks
+	// a request the tier completed itself because its member was down.
 	inner envy.Request
 	c     *Cluster
-	local chan struct{}
+	local bool
 }
 
+// closedDone is the Done channel of every locally completed request.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // Done returns a channel closed when the request completes; nil
-// before Submit.
+// before Submit. Like envy.Request.Done it never blocks.
 func (r *Request) Done() <-chan struct{} {
-	if r.local != nil {
-		return r.local
+	if r.local {
+		return closedDone
 	}
 	return r.inner.Done()
 }
@@ -258,18 +264,24 @@ func (c *Cluster) route(r *Request) (route, error) {
 	return c.dir[page], nil
 }
 
-// prepare routes r, applies the down-shard fast path and the
-// back-pressure probe, and builds the member-level request. It reports
-// whether r should be submitted to its member: false with a nil error
-// means r was completed locally (down shard).
-func (c *Cluster) prepare(r *Request) (submit bool, err error) {
-	rt, err := c.route(r)
-	if err != nil {
-		return false, err
+// claim validates r and marks it submitted to c, which is all it
+// changes: a request that appears twice in one batch is refused the
+// second time, and clearing r.c undoes the claim.
+func (c *Cluster) claim(r *Request) error {
+	if _, err := c.route(r); err != nil {
+		return err
 	}
+	r.c = c
+	return nil
+}
+
+// admit applies the down-shard fast path to a claimed r and builds its
+// member-level request. It reports whether r should be submitted to
+// its member: false means r was completed locally (down shard).
+func (c *Cluster) admit(r *Request) bool {
+	rt := c.dir[r.Addr/uint64(c.pageSize)]
 	shard := int(rt.member)
 	r.Shard = shard
-	r.c = c
 
 	c.mu.Lock()
 	down := c.shards[shard].down
@@ -281,17 +293,16 @@ func (c *Cluster) prepare(r *Request) (submit bool, err error) {
 	c.mu.Unlock()
 	if down {
 		r.Err = &ShardDownError{Shard: shard, Err: envy.ErrCrashed}
-		r.local = make(chan struct{})
+		r.local = true
 		if r.OnComplete != nil {
 			r.OnComplete(r)
 		}
-		close(r.local)
-		return false, nil
+		return false
 	}
 
 	localAddr := uint64(rt.local)*uint64(c.pageSize) + r.Addr%uint64(c.pageSize)
 	r.inner = envy.Request{Write: r.Write, Addr: localAddr, Data: r.Data, OnComplete: completeMember, Owner: r}
-	return true, nil
+	return true
 }
 
 // completeMember is every Request's member-level completion callback:
@@ -360,11 +371,10 @@ func (c *Cluster) bump(r *Request) {
 // returned). Completion is otherwise observed through Wait, Done, or
 // OnComplete.
 func (c *Cluster) Submit(r *Request) error {
-	submit, err := c.prepare(r)
-	if err != nil {
+	if err := c.claim(r); err != nil {
 		return err
 	}
-	if !submit {
+	if !c.admit(r) {
 		return r.Err // down shard: completed locally
 	}
 	c.probe(r.Shard, r)
@@ -379,22 +389,27 @@ func (c *Cluster) Submit(r *Request) error {
 }
 
 // SubmitAll routes the batch and submits it member by member, each
-// group through one device-mutex acquisition. The first malformed
-// request aborts with an error: requests before it may already be
-// enqueued (their completions stand), requests after it are untouched.
-// Requests routed to down members complete immediately with
-// *ShardDownError and do not abort the batch.
+// group through one device-mutex acquisition. Either the whole batch
+// is accepted or none of it: every request is routed before any is
+// submitted, and the first malformed one returns its error with no
+// request submitted or completed (the already-routed prefix is unwound
+// and may be resubmitted). Requests routed to down members complete
+// immediately with *ShardDownError and do not abort the batch.
 func (c *Cluster) SubmitAll(rs ...*Request) error {
 	sc := c.acquire()
 	defer c.release(sc)
+	for i, r := range rs {
+		if err := c.claim(r); err != nil {
+			for _, p := range rs[:i] {
+				p.c = nil
+			}
+			return err
+		}
+	}
 	// Group accepted requests per member, preserving submission order
 	// within each group (first-appearance member order).
 	for _, r := range rs {
-		submit, err := c.prepare(r)
-		if err != nil {
-			return err
-		}
-		if !submit {
+		if !c.admit(r) {
 			continue
 		}
 		if len(sc.groups[r.Shard]) == 0 {
@@ -445,9 +460,10 @@ func (c *Cluster) release(sc *submitScratch) {
 }
 
 // Wait drives the owning member until r completes and returns its
-// outcome (the *ShardDownError form for crash failures).
+// outcome (the *ShardDownError form for crash failures), or the
+// member's error if r never reached it.
 func (c *Cluster) Wait(r *Request) error {
-	if r.local != nil {
+	if r.local {
 		return r.Err // completed locally: routed to a down member
 	}
 	if r.c == nil {
@@ -455,10 +471,10 @@ func (c *Cluster) Wait(r *Request) error {
 	}
 	err := c.members[r.Shard].Wait(&r.inner)
 	c.sweep(r.Shard)
-	if err != nil {
+	if err != nil && r.Err != nil {
 		return r.Err // the wrapped form
 	}
-	return nil
+	return err
 }
 
 // Drain services every outstanding request on every up member.

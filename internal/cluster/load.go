@@ -149,7 +149,7 @@ func RunLoad(c *Cluster, l Load) (LoadResult, error) {
 				model[page] = payload
 			}
 		default:
-			if _, isDown := r.Err.(*ShardDownError); isDown && r.local != nil {
+			if _, isDown := r.Err.(*ShardDownError); isDown && r.local {
 				res.Rejected++
 			} else {
 				res.Failed++

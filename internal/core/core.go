@@ -299,6 +299,9 @@ type Device struct {
 	// suspend only the Flash bank they touch; at 1 they park the whole
 	// controller, the paper's §3.4 model.
 	hostConc int
+
+	// pageScratch is rewriteFlash's page buffer, made on first use.
+	pageScratch []byte
 }
 
 // New builds a Device from cfg (missing fields defaulted per Fig. 12).

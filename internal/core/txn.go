@@ -247,13 +247,29 @@ func (d *Device) preloadPage(page uint32, off int, data []byte) error {
 	if f := d.buf.Lookup(page); f != nil {
 		return fmt.Errorf("core: Preload of page %d which is buffered", page)
 	}
-	pageSize := d.cfg.Geometry.PageSize
-	buf := make([]byte, pageSize)
+	d.rewriteFlash(page, off, data)
+	return nil
+}
+
+// rewriteFlash reprograms an unbuffered page's Flash copy with data
+// written at off over its current contents (zeros if unmapped), through
+// the cleaning engine and untimed. The page is assembled in the
+// device's one scratch page: Program copies its payload, so nothing
+// retains the scratch.
+func (d *Device) rewriteFlash(page uint32, off int, data []byte) {
+	if d.pageScratch == nil {
+		d.pageScratch = make([]byte, d.cfg.Geometry.PageSize)
+	}
+	buf := d.pageScratch
 	loc, mapped := d.table.Lookup(page)
+	var old []byte
 	if mapped {
-		if old, _ := d.mergedPage(page, loc.PPN); old != nil {
-			copy(buf, old)
-		}
+		old, _ = d.mergedPage(page, loc.PPN)
+	}
+	if old != nil {
+		copy(buf, old)
+	} else {
+		clear(buf)
 	}
 	copy(buf[off:], data)
 	home := d.eng.Home(page, mapped, loc.PPN)
@@ -264,7 +280,6 @@ func (d *Device) preloadPage(page uint32, off int, data []byte) error {
 	}
 	ppn, _ := d.eng.Flush(page, home, buf)
 	d.setFlash(page, ppn)
-	return nil
 }
 
 // Churn performs n random single-page rewrites directly in Flash,
@@ -283,35 +298,12 @@ func (d *Device) Churn(n int, seed uint64) {
 	defer d.setArrayInjectors(d.inj)
 	d.setArrayInjectors(nil)
 	rng := sim.NewRNG(seed)
-	pageSize := d.cfg.Geometry.PageSize
-	buf := make([]byte, pageSize)
 	for i := 0; i < n; i++ {
 		page := uint32(rng.Intn(d.table.Len()))
 		if d.buf.Lookup(page) != nil {
 			continue // buffered pages are already "newer" than Flash
 		}
-		loc, mapped := d.table.Lookup(page)
-		if mapped {
-			if old, _ := d.mergedPage(page, loc.PPN); old != nil {
-				copy(buf, old)
-			} else {
-				for j := range buf {
-					buf[j] = 0
-				}
-			}
-		} else {
-			for j := range buf {
-				buf[j] = 0
-			}
-		}
-		home := d.eng.Home(page, mapped, loc.PPN)
-		if mapped {
-			d.dropEntry(page)
-			d.arr.Invalidate(loc.PPN)
-			d.table.Unmap(page)
-		}
-		ppn, _ := d.eng.Flush(page, home, buf)
-		d.setFlash(page, ppn)
+		d.rewriteFlash(page, 0, nil)
 	}
 }
 
