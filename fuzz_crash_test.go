@@ -8,40 +8,111 @@ import (
 	"envy/internal/invariant"
 )
 
-// FuzzCrashRecovery interprets the fuzzer's byte stream as a host
-// program that also wields the power switch: it arms crash plans of
-// every class, yanks power mid-operation, recovers, and keeps going on
-// the same device. A word-granularity model tracks every acknowledged
-// write (with uncommitted transaction writes held aside), and after
-// every recovery the entire logical space must read back exactly as
-// the model says: acknowledged writes durable, torn pages invisible,
-// uncommitted transactions rolled back.
-func FuzzCrashRecovery(f *testing.F) {
-	// Seeds: writes then an external crash and recovery; a program-count
-	// plan armed mid-traffic; an erase plan with idle time for cleaning
-	// to run into; a transaction cut down by a crash; a retarget plan;
-	// a time plan firing during a long idle.
-	f.Add([]byte{0, 0, 0, 0, 1, 0, 5, 0, 0, 7, 0, 0, 0, 2, 0})
-	f.Add([]byte{4, 0, 9, 0, 0, 0, 0, 1, 0, 0, 2, 0, 3, 50, 0})
-	f.Add([]byte{4, 1, 2, 0, 0, 0, 3, 255, 0, 3, 255, 0, 0, 1, 0})
-	f.Add([]byte{6, 0, 0, 0, 0, 0, 0, 1, 0, 5, 0, 0, 0, 2, 0})
-	f.Add([]byte{4, 2, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0})
-	f.Add([]byte{4, 3, 20, 3, 255, 0, 3, 255, 0, 0, 0, 0})
+// crashConfig is the small hybrid device the crash fuzzers start from.
+func crashConfig() Config {
+	return Config{
+		PageSize:          64,
+		PagesPerSegment:   16,
+		Segments:          8,
+		Banks:             2,
+		Policy:            HybridPolicy,
+		PartitionSegments: 2,
+		WearThreshold:     4,
+		BufferPages:       24,
+	}
+}
 
+// crashSeeds: writes then an external crash and recovery; a
+// program-count plan armed mid-traffic; an erase plan with idle time
+// for cleaning to run into; a transaction cut down by a crash; a
+// retarget plan; a time plan firing during a long idle.
+var crashSeeds = [][]byte{
+	{0, 0, 0, 0, 1, 0, 5, 0, 0, 7, 0, 0, 0, 2, 0},
+	{4, 0, 9, 0, 0, 0, 0, 1, 0, 0, 2, 0, 3, 50, 0},
+	{4, 1, 2, 0, 0, 0, 3, 255, 0, 3, 255, 0, 0, 1, 0},
+	{6, 0, 0, 0, 0, 0, 0, 1, 0, 5, 0, 0, 0, 2, 0},
+	{4, 2, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0},
+	{4, 3, 20, 3, 255, 0, 3, 255, 0, 0, 0, 0},
+}
+
+// FuzzCrashRecovery runs the crash driver on the default device: every
+// crash class against copy-on-write, flushing, cleaning, wear swaps and
+// transactions.
+func FuzzCrashRecovery(f *testing.F) {
+	fuzzCrash(f, crashConfig(), 5, crashSeeds...)
+}
+
+// FuzzDiffRecovery runs it with the differential flush policy on, so
+// crashes also land on torn shared-unit programs, interrupted chain
+// consolidations and the copy-on-write keep window; the invariant
+// suite then includes the diff-claim bijection.
+func FuzzDiffRecovery(f *testing.F) {
+	cfg := crashConfig()
+	cfg.FlushPolicy = DiffFlush
+	// The crash classes of crashSeeds, with dense same-page rewrites
+	// (building diff chains past the promotion bound) before each plan
+	// fires, and a long rewrite/crash program that walks the crash point
+	// into unit programs mid-chain and cleaning-time consolidation.
+	fuzzCrash(f, cfg, 5,
+		[]byte{0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 5, 0, 0, 7, 0, 0, 0, 2, 0},
+		[]byte{4, 0, 9, 0, 0, 0, 0, 1, 0, 0, 1, 0, 2, 0, 3, 50, 0},
+		crashSeeds[2], crashSeeds[3], crashSeeds[4], crashSeeds[5],
+		[]byte{4, 0, 40, 0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 2, 0, 0, 3, 0, 0, 4, 5, 0, 0, 0, 0, 5, 0, 0, 6})
+}
+
+// FuzzMapTierRecovery runs it with the two-tier page table on, so
+// crashes also land on mapping-page writebacks and translation-segment
+// cleans and erases; the invariant suite then includes tier
+// consistency.
+func FuzzMapTierRecovery(f *testing.F) {
+	cfg := crashConfig()
+	cfg.MapTier = &MapTierConfig{CacheFrames: 8, SegmentPages: 8}
+	// crashSeeds churn mapping pages through the 8-frame cache before
+	// the plan fires; the long alternating write/crash program walks the
+	// crash point deep into tier writeback and translation cleaning.
+	seeds := append(crashSeeds[:len(crashSeeds):len(crashSeeds)],
+		[]byte{4, 0, 40, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 5, 0, 0, 0, 0, 5, 0, 0, 6})
+	fuzzCrash(f, cfg, 5, seeds...)
+}
+
+// FuzzParallelWindow runs it on four banks with ParallelFlush at the
+// bank count, and adds the merge-boundary plan class unique to
+// multi-lane windows: the power fails while several background
+// operations are in flight with their effects partially merged.
+func FuzzParallelWindow(f *testing.F) {
+	cfg := crashConfig()
+	cfg.Segments, cfg.Banks, cfg.BufferPages = 16, 4, 32
+	cfg.Policy = GreedyPolicy
+	cfg.ParallelFlush = 4
+	// Merge plans armed mid-traffic with idle for background work to
+	// overlap; a program plan mid-window; an external yank while lanes
+	// are busy; a transaction cut down inside a parallel window.
+	fuzzCrash(f, cfg, 6,
+		[]byte{0, 0, 0, 0, 1, 0, 4, 5, 2, 3, 200, 0, 0, 7, 0},
+		[]byte{4, 5, 0, 0, 0, 0, 0, 1, 0, 3, 255, 0, 0, 2, 0},
+		[]byte{4, 0, 6, 0, 0, 0, 3, 255, 0, 5, 0, 0, 0, 1, 0},
+		[]byte{6, 0, 0, 0, 0, 0, 4, 5, 1, 3, 100, 0, 5, 0, 0})
+}
+
+// fuzzCrash interprets the fuzzer's byte stream as a host program that
+// also wields the power switch: it arms crash plans, yanks power
+// mid-operation, recovers, and keeps going on the same device built
+// from cfg. A word-granularity model tracks every acknowledged write
+// (with uncommitted transaction writes held aside), and after every
+// recovery the entire logical space must read back exactly as the
+// model says: acknowledged writes durable, torn pages invisible,
+// uncommitted transactions rolled back. The arm step draws from the
+// first planKinds plan classes: program, erase, retarget, time,
+// probability and (6) merge boundary.
+func fuzzCrash(f *testing.F, cfg Config, planKinds byte, seeds ...[]byte) {
+	for _, s := range seeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) > 512 {
 			program = program[:512]
 		}
-		dev, err := New(Config{
-			PageSize:          64,
-			PagesPerSegment:   16,
-			Segments:          8,
-			Banks:             2,
-			Policy:            HybridPolicy,
-			PartitionSegments: 2,
-			WearThreshold:     4,
-			BufferPages:       24,
-		})
+		dev, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +195,7 @@ func FuzzCrashRecovery(f *testing.F) {
 				dev.Idle(time.Duration(lo) * time.Microsecond)
 			case 4: // arm a crash plan
 				var plan FaultPlan
-				switch lo % 5 {
+				switch lo % planKinds {
 				case 0:
 					plan.Program = 1 + int64(hi)
 				case 1:
@@ -136,6 +207,8 @@ func FuzzCrashRecovery(f *testing.F) {
 				case 4:
 					plan.Probability = float64(1+int(hi)) / 2048
 					plan.Seed = uint64(step)
+				case 5:
+					plan.Merge = 1 + int64(hi%32)
 				}
 				dev.ArmFault(plan)
 			case 5: // yank the power mid-whatever is queued

@@ -7,8 +7,8 @@ import (
 
 // Flashstate confines mutation of the two authoritative state stores —
 // the flash array's page lifecycle and the page table's mappings — to
-// the layers that own them. Everyone else (examples, commands, tests
-// in other packages, benchmark harnesses) must go through the
+// the layers that own them. Everyone else (commands, tests in other
+// packages, benchmark harnesses) must go through the
 // controller's API, or the invariants CheckDevice enforces stop
 // meaning anything. Deliberate corruption in invariant tests is
 // marked with //envyvet:allow flashstate.

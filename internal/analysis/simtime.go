@@ -25,15 +25,15 @@ var Simtime = &Analyzer{
 		"call importable packages and all of them are covered, no\n" +
 		"cross-package analysis is needed. Declaring values of type\n" +
 		"time.Duration remains fine — sim.Duration is defined in those\n" +
-		"terms. Commands, examples and bench/ are main packages outside\n" +
-		"the territory; they may time themselves.",
+		"terms. Commands and bench/ are main packages outside the\n" +
+		"territory; they may time themselves.",
 	Run: runSimtime,
 }
 
 // inSimTerritory reports whether a package can be imported by (or is)
 // simulation code: the public package and everything under internal/,
-// with their external test packages. Main packages — cmd/, examples/,
-// bench/ — are the only ones outside.
+// with their external test packages. Main packages — cmd/ and bench/
+// — are the only ones outside.
 func inSimTerritory(path string) bool {
 	path = strings.TrimSuffix(path, "_test")
 	return path == "envy" || strings.HasPrefix(path, "envy/internal/")

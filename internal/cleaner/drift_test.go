@@ -90,43 +90,3 @@ func TestSequentialOverwriteIsCheap(t *testing.T) {
 		}
 	}
 }
-
-// generatorStub drives RunGenerator with a deterministic stream.
-type generatorStub struct {
-	pages int
-	i     int
-}
-
-func (g *generatorStub) Next() uint32 {
-	g.i++
-	return uint32((g.i * 7) % g.pages)
-}
-func (g *generatorStub) Pages() int { return g.pages }
-
-func TestRunGenerator(t *testing.T) {
-	h := newHarness(t, Config{Kind: Greedy})
-	h.Load()
-	n := h.LogicalPages()
-	cost := h.RunGenerator(&generatorStub{pages: n}, 2*n, 2*n)
-	if cost < 0 {
-		t.Errorf("cost = %v", cost)
-	}
-	c := h.Counters()
-	if c.Flushes != int64(2*n) {
-		t.Errorf("measured flushes = %d, want %d", c.Flushes, 2*n)
-	}
-	if err := h.CheckMapping(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunGeneratorRejectsOversizedSpace(t *testing.T) {
-	h := newHarness(t, Config{Kind: Greedy})
-	h.Load()
-	defer func() {
-		if recover() == nil {
-			t.Error("oversized generator accepted")
-		}
-	}()
-	h.RunGenerator(&generatorStub{pages: h.LogicalPages() + 1}, 1, 1)
-}

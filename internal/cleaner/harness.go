@@ -131,28 +131,3 @@ func (h *Harness) CheckMapping() error {
 	}
 	return nil
 }
-
-// Generator matches workload.Generator: a stream of page updates.
-type Generator interface {
-	Next() uint32
-	Pages() int
-}
-
-// RunGenerator drives the harness from an arbitrary workload
-// generator (sequential, shifting hot spot, recorded trace, ...)
-// instead of a fixed bimodal distribution: warm writes, then measure
-// writes, returning the cleaning cost over the measurement window.
-// The generator's page space must not exceed the harness's.
-func (h *Harness) RunGenerator(g Generator, warm, measure int) float64 {
-	if g.Pages() > len(h.table) {
-		panic(fmt.Sprintf("cleaner: generator spans %d pages but the device has %d", g.Pages(), len(h.table)))
-	}
-	for i := 0; i < warm; i++ {
-		h.Write(g.Next())
-	}
-	h.ResetCounters()
-	for i := 0; i < measure; i++ {
-		h.Write(g.Next())
-	}
-	return h.counters.CleaningCost()
-}

@@ -1193,14 +1193,6 @@ func (d *Device) bankOf(ppn uint32) int {
 // (internal/host) sets this; it never changes mid-access.
 func (d *Device) SetHostConcurrency(n int) { d.hostConc = n }
 
-// HostConcurrency returns the configured host queue depth (minimum 1).
-func (d *Device) HostConcurrency() int {
-	if d.hostConc < 1 {
-		return 1
-	}
-	return d.hostConc
-}
-
 // CheckRange validates a host access range without charging time or
 // changing state, returning an *AccessError exactly as the *Err access
 // variants would. The host engine validates requests at submission.

@@ -9,9 +9,9 @@
 //
 //   - PointProgram: inside a Flash page program. The page is left
 //     partially programmed — some leading bytes carry the payload, the
-//     byte in flight carries payload AND'ed with whatever bits had
-//     been pulled low (programming only clears bits, see flash/cui.go),
-//     the rest still reads erased (0xFF).
+//     byte in flight has only some of its 0 bits pulled low yet
+//     (programming only turns 1 bits into 0), the rest still reads
+//     erased (0xFF).
 //   - PointErase: inside a segment erase. Every page of the segment is
 //     left half-erased: random subsets of bits have floated back to 1.
 //   - PointRetarget: the §3.1 window between retargeting the page

@@ -419,9 +419,9 @@ func (a *Array) SetInjector(inj *fault.Injector) { a.inj = inj }
 
 // tearProgram records an interrupted program: the page becomes Torn,
 // holding the payload's leading bytes, one partially programmed byte
-// (programming only clears bits — flash/cui.go's finishOp ANDs — so
-// the interrupted byte is payload AND'ed with the bits already pulled
-// low), and erased 0xFF bytes beyond the interruption point.
+// (programming only pulls bits from 1 to 0, so the interrupted byte is
+// the payload with some of its 0 bits still at 1: b & payload ==
+// payload), and erased 0xFF bytes beyond the interruption point.
 func (a *Array) tearProgram(s *segment, page int, payload []byte, tear fault.Tear) {
 	s.state[page] = Torn
 	s.owner[page] = NoPage

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"envy/internal/fault"
 	"envy/internal/sim"
 )
 
@@ -280,6 +281,116 @@ func TestProgramsCounter(t *testing.T) {
 	}
 	if got := a.Programs(); got != 3 {
 		t.Errorf("Programs = %d", got)
+	}
+}
+
+// The three tests below pin the bit physics the crash model relies on
+// (§2): programming only pulls bits low (1→0), erasing only raises them
+// (0→1), so a page interrupted mid-program lies bitwise between erased
+// 0xFF and its payload, and a segment interrupted mid-erase lies
+// between its old contents and 0xFF.
+
+// rawPage returns a page's stored bytes whatever its state (Page only
+// serves Valid pages).
+func rawPage(a *Array, ppn uint32) []byte {
+	seg, page := a.geo.Split(ppn)
+	return a.segs[seg].data[page*a.geo.PageSize : (page+1)*a.geo.PageSize]
+}
+
+func randomBytes(n int, seed uint64) []byte {
+	r := sim.NewRNG(seed)
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(r.Uint64())
+	}
+	return b
+}
+
+// mustCrash runs op and fails the test unless an armed crash point
+// fires inside it.
+func mustCrash(t *testing.T, op func()) {
+	t.Helper()
+	defer func() {
+		if _, ok := recover().(*fault.Crash); !ok {
+			t.Fatal("armed crash point did not fire")
+		}
+	}()
+	op()
+}
+
+// checkTorn asserts the shape of a program of payload interrupted at
+// byte n: the bytes before n carry the payload, every byte is between
+// erased and payload (b & payload == payload), and every byte past n
+// still reads erased.
+func checkTorn(t *testing.T, got, payload []byte, n int) {
+	t.Helper()
+	for i, b := range got {
+		switch {
+		case i < n && b != payload[i]:
+			t.Fatalf("byte %d = %#x, want payload %#x (programmed before the tear)", i, b, payload[i])
+		case b&payload[i] != payload[i]:
+			t.Fatalf("byte %d = %#x is not between payload %#x and erased 0xFF", i, b, payload[i])
+		case i > n && b != 0xFF:
+			t.Fatalf("byte %d past the tear at %d = %#x, want 0xFF", i, n, b)
+		}
+	}
+}
+
+func TestTornProgramOnlyClearsBits(t *testing.T) {
+	geo := Geometry{PageSize: 64, PagesPerSegment: 4, Segments: 2, Banks: 1}
+	ppn := geo.PPN(0, 1)
+	for seed := uint64(0); seed < 32; seed++ {
+		a := mustNew(t, geo)
+		payload := randomBytes(geo.PageSize, seed)
+		plan := fault.Plan{Program: 1, Seed: seed}
+		a.SetInjector(fault.NewInjector(plan))
+		mustCrash(t, func() { a.Program(ppn, 7, payload) })
+		if a.State(ppn) != Torn {
+			t.Fatalf("seed %d: state after torn program = %v", seed, a.State(ppn))
+		}
+		// A twin injector replays the tear the array was handed.
+		tear, _ := fault.NewInjector(plan).AtProgram(geo.PageSize)
+		checkTorn(t, rawPage(a, ppn), payload, tear.FullBytes)
+	}
+}
+
+func TestTearInFlightOnlyClearsBits(t *testing.T) {
+	geo := Geometry{PageSize: 64, PagesPerSegment: 4, Segments: 2, Banks: 1}
+	ppn := geo.PPN(1, 2)
+	for seed := uint64(0); seed < 32; seed++ {
+		a := mustNew(t, geo)
+		payload := randomBytes(geo.PageSize, seed)
+		a.Program(ppn, 7, payload)
+		a.TearInFlight(ppn, seed)
+		if a.State(ppn) != Torn {
+			t.Fatalf("seed %d: state after TearInFlight = %v", seed, a.State(ppn))
+		}
+		checkTorn(t, rawPage(a, ppn), payload, sim.NewRNG(seed).Intn(geo.PageSize))
+	}
+}
+
+func TestHalfEraseOnlyRaisesBits(t *testing.T) {
+	geo := Geometry{PageSize: 64, PagesPerSegment: 4, Segments: 2, Banks: 1}
+	for seed := uint64(0); seed < 32; seed++ {
+		a := mustNew(t, geo)
+		old := randomBytes(geo.PageSize*geo.PagesPerSegment, seed)
+		for p := 0; p < geo.PagesPerSegment; p++ {
+			ppn := geo.PPN(0, p)
+			a.Program(ppn, uint32(p), old[p*geo.PageSize:(p+1)*geo.PageSize])
+			a.Invalidate(ppn)
+		}
+		a.SetInjector(fault.NewInjector(fault.Plan{Erase: 1, Seed: seed}))
+		mustCrash(t, func() { a.Erase(0) })
+		if !a.HalfErased(0) || a.SegmentTorn(0) != geo.PagesPerSegment {
+			t.Fatalf("seed %d: half-erased %v with %d torn pages", seed, a.HalfErased(0), a.SegmentTorn(0))
+		}
+		for p := 0; p < geo.PagesPerSegment; p++ {
+			for i, b := range rawPage(a, geo.PPN(0, p)) {
+				if was := old[p*geo.PageSize+i]; b&was != was {
+					t.Fatalf("seed %d: page %d byte %d went %#x → %#x; erasing cleared a bit", seed, p, i, was, b)
+				}
+			}
+		}
 	}
 }
 

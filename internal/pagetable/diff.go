@@ -186,12 +186,6 @@ func (d *DiffDirectory) BaseKept(logical, old uint32) bool {
 	return e != nil && e.Base == old && e.KeptBase
 }
 
-// UnitKnown reports whether a unit page has live records.
-func (d *DiffDirectory) UnitKnown(unit uint32) bool {
-	_, ok := d.units[unit]
-	return ok
-}
-
 // RelocateUnit follows a cleaner relocation of a shared unit page:
 // every chain element referencing old is repointed at new.
 func (d *DiffDirectory) RelocateUnit(old, new uint32) {

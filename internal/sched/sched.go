@@ -516,21 +516,6 @@ func (s *Scheduler) Overlap(bank int, now sim.Time) {
 	s.cursor = now
 }
 
-// QueuedOn counts queued (incomplete) operations of the given kind
-// targeting bank. The controller's flush placement uses it to steer
-// programs away from banks with cleaning copies waiting, so copy-out
-// overlaps flush programming on distinct banks instead of queueing
-// behind it.
-func (s *Scheduler) QueuedOn(bank int, kind stats.OpKind) int {
-	n := 0
-	for _, op := range s.queue {
-		if op.Bank == bank && op.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
 // suspendOp parks one op. The bank claim must be released before the
 // op is marked suspended — a suspended op never holds hardware.
 func (s *Scheduler) suspendOp(op *Op, now sim.Time) {

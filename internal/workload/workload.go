@@ -51,83 +51,6 @@ func (b *Bimodal) Pages() int { return b.pages }
 
 func (b *Bimodal) String() string { return fmt.Sprintf("bimodal %v over %d pages", b.dist, b.pages) }
 
-// Sequential cycles through the page space in address order — the
-// best case for any log-structured cleaner (every segment is fully
-// invalidated before it is cleaned).
-type Sequential struct {
-	pages int
-	next  uint32
-}
-
-// NewSequential returns a sequential-overwrite generator.
-func NewSequential(pages int) *Sequential { return &Sequential{pages: pages} }
-
-// Next returns the next page to write.
-func (s *Sequential) Next() uint32 {
-	p := s.next
-	s.next++
-	if int(s.next) >= s.pages {
-		s.next = 0
-	}
-	return p
-}
-
-// Pages returns the page-space size.
-func (s *Sequential) Pages() int { return s.pages }
-
-func (s *Sequential) String() string { return fmt.Sprintf("sequential over %d pages", s.pages) }
-
-// Shifting is a bimodal workload whose hot region migrates over time:
-// every period writes, the hot window advances by its own width. It
-// exercises the locality gatherer's ability to re-sort data after the
-// working set moves (§4.3's data redistribution).
-type Shifting struct {
-	rng       *sim.RNG
-	pages     int
-	hotFrac   float64
-	hotAccess float64
-	period    int
-	count     int
-	offset    int
-}
-
-// NewShifting returns a shifting-hot-spot generator: hotFrac of the
-// pages receive hotAccess of the writes, and the hot window advances
-// every period writes.
-func NewShifting(pages int, hotFrac, hotAccess float64, period int, seed uint64) *Shifting {
-	return &Shifting{
-		rng:       sim.NewRNG(seed),
-		pages:     pages,
-		hotFrac:   hotFrac,
-		hotAccess: hotAccess,
-		period:    period,
-	}
-}
-
-// Next returns the next page to write.
-func (s *Shifting) Next() uint32 {
-	s.count++
-	hotN := int(s.hotFrac * float64(s.pages))
-	if hotN < 1 {
-		hotN = 1
-	}
-	if s.period > 0 && s.count%s.period == 0 {
-		s.offset = (s.offset + hotN) % s.pages
-	}
-	if s.rng.Float64() < s.hotAccess {
-		return uint32((s.offset + s.rng.Intn(hotN)) % s.pages)
-	}
-	return uint32(s.rng.Intn(s.pages))
-}
-
-// Pages returns the page-space size.
-func (s *Shifting) Pages() int { return s.pages }
-
-func (s *Shifting) String() string {
-	return fmt.Sprintf("shifting %.0f/%.0f over %d pages, period %d",
-		s.hotFrac*100, s.hotAccess*100, s.pages, s.period)
-}
-
 // Trace is a recorded page-write sequence that replays deterministically.
 type Trace struct {
 	pages  int

@@ -35,40 +35,6 @@ func TestUniformCoverage(t *testing.T) {
 	}
 }
 
-func TestSequentialCycles(t *testing.T) {
-	g := NewSequential(5)
-	want := []uint32{0, 1, 2, 3, 4, 0, 1}
-	for i, w := range want {
-		if got := g.Next(); got != w {
-			t.Fatalf("write %d = %d, want %d", i, got, w)
-		}
-	}
-}
-
-func TestShiftingMoves(t *testing.T) {
-	g := NewShifting(1000, 0.1, 1.0, 500, 3)
-	early := make(map[uint32]bool)
-	for i := 0; i < 400; i++ {
-		early[g.Next()] = true
-	}
-	for i := 0; i < 200; i++ {
-		g.Next() // cross the shift boundary
-	}
-	late := make(map[uint32]bool)
-	for i := 0; i < 400; i++ {
-		late[g.Next()] = true
-	}
-	overlap := 0
-	for p := range late {
-		if early[p] {
-			overlap++
-		}
-	}
-	if overlap > len(late)/4 {
-		t.Errorf("hot set did not move: %d/%d overlap", overlap, len(late))
-	}
-}
-
 func TestTraceReplay(t *testing.T) {
 	g := NewBimodal(sim.Bimodal{HotData: 0.2, HotAccess: 0.8}, 100, 9)
 	tr := Record(g, 50)
@@ -97,9 +63,8 @@ func TestTraceEmpty(t *testing.T) {
 func TestStrings(t *testing.T) {
 	for _, g := range []Generator{
 		NewUniform(10, 1),
-		NewSequential(10),
-		NewShifting(10, 0.1, 0.9, 5, 1),
-		Record(NewSequential(10), 5),
+		NewZipfian(10, 0.99, 1),
+		Record(NewUniform(10, 1), 5),
 	} {
 		if g.String() == "" {
 			t.Errorf("%T has empty String()", g)
